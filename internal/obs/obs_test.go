@@ -99,6 +99,42 @@ func TestRollingRateTinyWindow(t *testing.T) {
 	}
 }
 
+// TestRollingRateMatchesBoolWindow checks the bit-packed window against a
+// plain []bool ring at sizes around the 64-bit word boundaries, and that
+// the packed window costs one bit per outcome.
+func TestRollingRateMatchesBoolWindow(t *testing.T) {
+	for _, size := range []int{1, 2, 63, 64, 65, 127, 128, 500} {
+		r := NewRollingRate(size)
+		ring := make([]bool, size)
+		filled, pos, lifeHits := 0, 0, 0
+		for i := 0; i < 3*size+17; i++ {
+			hit := (i*i+size)%7 < 5
+			r.Record(hit)
+			ring[pos] = hit
+			pos = (pos + 1) % size
+			filled = min(filled+1, size)
+			if hit {
+				lifeHits++
+			}
+			hits := 0
+			for _, h := range ring[:filled] {
+				if h {
+					hits++
+				}
+			}
+			if rate, n := r.Rate(); n != filled || rate != float64(hits)/float64(filled) {
+				t.Fatalf("size %d after %d: rate %g/%d, want %d/%d", size, i+1, rate, n, hits, filled)
+			}
+			if lh, lt := r.Lifetime(); lh != uint64(lifeHits) || lt != uint64(i+1) {
+				t.Fatalf("size %d after %d: lifetime %d/%d", size, i+1, lh, lt)
+			}
+		}
+		if words := len(r.window); words != (size+63)/64 {
+			t.Fatalf("size %d: %d window words, want %d", size, words, (size+63)/64)
+		}
+	}
+}
+
 func TestLabelsSortedAndEscaped(t *testing.T) {
 	got := Labels("queue", `no"rm\al`, "bucket", "1-4")
 	want := `bucket="1-4",queue="no\"rm\\al"`

@@ -9,10 +9,14 @@ import "sync"
 // its actual wait — records one outcome, and the windowed rate is compared
 // against the target confidence to tell whether the bounds are holding
 // *now*, not just on average since startup.
+//
+// The window is a ring of bits packed into uint64 words: a 500-outcome
+// window costs 64 bytes, not the 500 a []bool would, and a registry keeps
+// one tracker per stream.
 type RollingRate struct {
 	mu     sync.Mutex
 	size   int
-	window []bool // allocated on first Record: most streams never resolve
+	window []uint64 // allocated on first Record: most streams never resolve
 	idx    int
 	filled int
 	hits   int
@@ -37,24 +41,25 @@ func (r *RollingRate) Record(hit bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.window == nil {
-		r.window = make([]bool, r.size)
+		r.window = make([]uint64, (r.size+63)/64)
 	}
-	if r.filled == len(r.window) {
-		if r.window[r.idx] {
+	word, bit := &r.window[r.idx/64], uint64(1)<<(r.idx%64)
+	if r.filled == r.size {
+		if *word&bit != 0 {
 			r.hits--
 		}
 	} else {
 		r.filled++
 	}
-	r.window[r.idx] = hit
 	if hit {
+		*word |= bit
 		r.hits++
-	}
-	r.idx = (r.idx + 1) % len(r.window)
-	r.lifetimeN++
-	if hit {
 		r.lifetimeHits++
+	} else {
+		*word &^= bit
 	}
+	r.idx = (r.idx + 1) % r.size
+	r.lifetimeN++
 }
 
 // Rate returns the hit rate over the current window and the number of

@@ -44,7 +44,7 @@ type innerNode struct {
 }
 
 // Multiset is an order-statistic multiset of float64 values. The zero value
-// is not ready to use; construct with New.
+// is not ready to use; construct with New, or fill it with BuildFromSorted.
 type Multiset struct {
 	leaves []leafNode
 	inners []innerNode
@@ -62,10 +62,11 @@ type Multiset struct {
 // New returns an empty Multiset. The structure is fully deterministic —
 // identical operation sequences yield identical trees — so runs are
 // reproducible; the seed parameter is retained for compatibility with the
-// earlier randomized-treap implementation and is unused.
+// earlier randomized-treap implementation and is unused. The arena starts
+// at its one live leaf: a registry holds one multiset per stream, and most
+// streams never outgrow a leaf or two.
 func New(seed int64) *Multiset {
-	m := &Multiset{leaves: make([]leafNode, 1, 8), height: 1}
-	return m
+	return &Multiset{leaves: make([]leafNode, 1), height: 1}
 }
 
 // Len returns the number of values in the multiset, counting multiplicity.
@@ -397,31 +398,53 @@ func (m *Multiset) Max() (float64, bool) { return m.Select(m.Len()) }
 // ascending-sorted values in O(n), versus O(n log n) for n repeated
 // Inserts. It is what BMBP's change-point trim and serialized-state restore
 // use. Leaves are packed to three quarters full so a freshly built tree has
-// headroom before its first splits.
+// headroom before its first splits. The arenas are sized up front to
+// exactly the nodes the packing needs (existing capacity is reused), and
+// the build also readies a zero-value Multiset.
 func (m *Multiset) BuildFromSorted(sorted []float64) {
+	const (
+		fill  = leafCap * 3 / 4
+		ifill = innerCap * 3 / 4
+	)
+	distinct := 0
+	for i, v := range sorted {
+		if i > 0 && v < sorted[i-1] {
+			panic("ostat: BuildFromSorted input not ascending")
+		}
+		if i == 0 || v != sorted[i-1] {
+			distinct++
+		}
+	}
+	nLeaves := max(1, (distinct+fill-1)/fill)
+	nInner := 0
+	for w := nLeaves; w > 1; {
+		w = (w + ifill - 1) / ifill
+		nInner += w
+	}
+	if cap(m.leaves) < nLeaves {
+		m.leaves = make([]leafNode, 1, nLeaves)
+	}
+	if cap(m.inners) < nInner {
+		m.inners = make([]innerNode, 0, nInner)
+	}
 	m.Clear()
 	if len(sorted) == 0 {
 		return
 	}
 	m.total = len(sorted)
-	const fill = leafCap * 3 / 4
 
-	// Pack distinct values into leaves left to right.
-	kids := m.pathNode[:0] // reuse as the per-level child list
-	var sums []int32
-	var seps []float64
+	// Pack distinct values into leaves left to right. The per-level lists
+	// start on the stack; only trees of more than a few leaves spill them.
+	var kidsBuf, sumsBuf [4]int32
+	var sepsBuf [4]float64
+	kids, sums, seps := kidsBuf[:0], sumsBuf[:0], sepsBuf[:0]
 	cur := int32(0) // Clear left leaf 0 as the empty root
 	lf := &m.leaves[cur]
-	var prev float64
 	for i, v := range sorted {
-		if i > 0 && v < prev {
-			panic("ostat: BuildFromSorted input not ascending")
-		}
-		if i > 0 && v == prev {
+		if i > 0 && v == sorted[i-1] {
 			lf.counts[lf.n-1]++
 			continue
 		}
-		prev = v
 		if lf.n == fill {
 			kids = append(kids, cur)
 			sums = append(sums, lf.sum())
@@ -436,17 +459,12 @@ func (m *Multiset) BuildFromSorted(sorted []float64) {
 	sums = append(sums, lf.sum())
 	seps = append(seps, lf.vals[lf.n-1])
 
-	// Build inner levels bottom-up until one root remains.
-	const ifill = innerCap * 3 / 4
+	// Build inner levels bottom-up until one root remains, compacting each
+	// level's (kid, size, separator) lists in place.
 	for len(kids) > 1 {
-		var upKids []int32
-		var upSums []int32
-		var upSeps []float64
-		for at := 0; at < len(kids); {
-			w := len(kids) - at
-			if w > ifill {
-				w = ifill
-			}
+		up := 0
+		for at := 0; at < len(kids); at += ifill {
+			w := min(ifill, len(kids)-at)
 			idx := m.allocInner()
 			in := &m.inners[idx]
 			in.n = int32(w)
@@ -457,16 +475,13 @@ func (m *Multiset) BuildFromSorted(sorted []float64) {
 				in.sep[c] = seps[at+c]
 				total += sums[at+c]
 			}
-			upKids = append(upKids, idx)
-			upSums = append(upSums, total)
-			upSeps = append(upSeps, in.sep[in.n-1])
-			at += w
+			kids[up], sums[up], seps[up] = idx, total, in.sep[w-1]
+			up++
 		}
-		kids, sums, seps = upKids, upSums, upSeps
+		kids, sums, seps = kids[:up], sums[:up], seps[:up]
 		m.height++
 	}
 	m.root = kids[0]
-	m.pathNode = m.pathNode[:0]
 }
 
 // InOrder calls fn for each value in ascending order (repeated values are

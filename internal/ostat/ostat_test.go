@@ -224,3 +224,38 @@ func BenchmarkMultisetSelect(b *testing.B) {
 		m.Select(95000)
 	}
 }
+
+// TestArenasSizedToContents: a new multiset holds just its one live leaf,
+// and BuildFromSorted reserves exactly the nodes it packs — a registry
+// keeps one multiset per stream, so unused arena slots multiply.
+func TestArenasSizedToContents(t *testing.T) {
+	if m := New(1); cap(m.leaves) != 1 || cap(m.inners) != 0 {
+		t.Fatalf("New: leaf cap %d, inner cap %d; want 1 and 0", cap(m.leaves), cap(m.inners))
+	}
+	for _, n := range []int{0, 1, 48, 49, 64, 500, 48 * 24, 48*24 + 1, 100000} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(i / 2) // pairs of duplicates
+		}
+		var m Multiset // BuildFromSorted readies a zero value
+		m.BuildFromSorted(vals)
+		if len(m.leaves) != cap(m.leaves) || len(m.inners) != cap(m.inners) {
+			t.Errorf("n=%d: arenas len/cap leaves %d/%d inners %d/%d, want exact",
+				n, len(m.leaves), cap(m.leaves), len(m.inners), cap(m.inners))
+		}
+		if m.Len() != n {
+			t.Fatalf("n=%d: Len %d", n, m.Len())
+		}
+		for k := 1; k <= n; k += 1 + n/7 {
+			if v, ok := m.Select(k); !ok || v != vals[k-1] {
+				t.Fatalf("n=%d: Select(%d) = %g, want %g", n, k, v, vals[k-1])
+			}
+		}
+		// Rebuilding smaller keeps the capacity instead of reallocating.
+		leaves := cap(m.leaves)
+		m.BuildFromSorted(vals[:n/2])
+		if cap(m.leaves) != leaves {
+			t.Errorf("n=%d: rebuild reallocated the leaf arena (%d -> %d)", n, leaves, cap(m.leaves))
+		}
+	}
+}

@@ -28,6 +28,17 @@ import (
 // at L, so a group of followers advancing together drives one reader
 // forward instead of re-opening and re-scanning segment files per batch.
 //
+// Retention follows the sessions: every session in its shipping loop
+// registers its cursor, and an entry is dropped as soon as every
+// registered cursor has moved past its start — no session can ask for it
+// again. The entry furthest along the log is kept regardless, for the next
+// session to reach the tail (a follower that is still handshaking, or a
+// group member whose cursor has not registered yet). With caught-up followers the cache
+// therefore holds about one batch, not a window of frames nobody will
+// read. A session that later needs an evicted range takes the miss path:
+// a tail read from disk, re-aligned onto the chain. The entry and byte
+// caps stay as upper bounds for lagging followers.
+//
 // Entries are refcounted: a session holds a reference across its Send so
 // eviction can never recycle a buffer on the wire. Buffers are recycled
 // through a sync.Pool once an evicted entry's last reference drops.
@@ -39,8 +50,8 @@ type batchCache struct {
 	// second session at a cursor blocks briefly and then hits.
 	mu      sync.Mutex
 	entries map[uint64]*cachedBatch
-	order   []*cachedBatch // insertion order, for FIFO eviction
-	starts  []uint64       // sorted entry start cursors, for re-alignment
+	starts  []uint64   // sorted entry start cursors: eviction order and re-alignment
+	cursors seqTracker // cursors of the sessions in their shipping loops
 	bytes   int
 
 	readers map[uint64]*wal.TailReader // pooled readers keyed by cursor
@@ -71,10 +82,9 @@ type cachedBatch struct {
 
 // The capacity bounds trade leader memory for lag tolerance: a follower
 // whose cursor trails the leading session by more than the cached window
-// stops hitting and re-frames its own batch chain — and once its batch
-// boundaries diverge, it cannot rejoin the shared chain until it catches
-// back up to cached entries. The defaults cover roughly half a million
-// records of lag (~1024 batches of 512) within a bounded frame budget.
+// stops hitting and reads its batches from disk, re-aligning onto the
+// shared chain. The defaults cover roughly half a million records of lag
+// (~1024 batches of 512) within a bounded frame budget.
 const (
 	defaultCacheEntries = 1024
 	defaultCacheBytes   = 32 << 20
@@ -151,7 +161,6 @@ func (c *batchCache) get(afterSeq, uptoSeq uint64, max int) (e *cachedBatch, gap
 		refs:    1,
 	}
 	c.entries[afterSeq] = e
-	c.order = append(c.order, e)
 	c.insertStart(afterSeq)
 	c.bytes += len(e.frames)
 	c.stashReader(e.lastSeq, r)
@@ -180,12 +189,40 @@ func (c *batchCache) recycle(e *cachedBatch) {
 	c.bufs.Put(&buf)
 }
 
+// track registers a session cursor entering the shipping loop; move
+// re-registers it after the session ships past it, and untrack drops it
+// when the session ends. Each change may free entries no registered
+// cursor can still request.
+func (c *batchCache) track(pos uint64) {
+	c.mu.Lock()
+	c.cursors.insert(pos)
+	c.mu.Unlock()
+}
+
+func (c *batchCache) move(from, to uint64) {
+	c.mu.Lock()
+	c.cursors.remove(from)
+	c.cursors.insert(to)
+	c.evictLocked()
+	c.mu.Unlock()
+}
+
+func (c *batchCache) untrack(pos uint64) {
+	c.mu.Lock()
+	c.cursors.remove(pos)
+	c.evictLocked()
+	c.mu.Unlock()
+}
+
+// evictLocked drops entries from the lowest start up — those every
+// registered cursor has passed, then whatever exceeds the caps — and
+// always keeps the one with the highest start.
 func (c *batchCache) evictLocked() {
-	for len(c.order) > 0 && (len(c.order) > c.maxEntries || c.bytes > c.maxBytes) {
-		e := c.order[0]
-		c.order = c.order[1:]
+	floor := c.cursors.lowest()
+	for len(c.starts) > 1 && (c.starts[0] < floor || len(c.starts) > c.maxEntries || c.bytes > c.maxBytes) {
+		e := c.entries[c.starts[0]]
 		delete(c.entries, e.prevSeq)
-		c.removeStart(e.prevSeq)
+		c.starts = append(c.starts[:0], c.starts[1:]...)
 		c.bytes -= len(e.frames)
 		e.evicted = true
 		if e.refs == 0 {
@@ -199,13 +236,6 @@ func (c *batchCache) insertStart(pos uint64) {
 	c.starts = append(c.starts, 0)
 	copy(c.starts[i+1:], c.starts[i:])
 	c.starts[i] = pos
-}
-
-func (c *batchCache) removeStart(pos uint64) {
-	i := sort.Search(len(c.starts), func(i int) bool { return c.starts[i] >= pos })
-	if i < len(c.starts) && c.starts[i] == pos {
-		c.starts = append(c.starts[:i], c.starts[i+1:]...)
-	}
 }
 
 // stashReader parks a reader at its cursor position for the next miss at
@@ -227,7 +257,6 @@ func (c *batchCache) close() {
 		delete(c.readers, pos)
 	}
 	c.entries = make(map[uint64]*cachedBatch)
-	c.order = nil
 	c.starts = nil
 	c.bytes = 0
 }
@@ -235,3 +264,10 @@ func (c *batchCache) close() {
 // Hits and Misses are cumulative counters for the metrics plane.
 func (c *batchCache) Hits() uint64   { return c.hits.Load() }
 func (c *batchCache) Misses() uint64 { return c.misses.Load() }
+
+// Bytes reports the encoded frame bytes the cache currently retains.
+func (c *batchCache) Bytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}

@@ -196,6 +196,50 @@ func TestBatchCacheSharesFramesAcrossFollowers(t *testing.T) {
 	}
 }
 
+// TestBatchCacheRetainsOnlyRequestableFrames: with one caught-up follower,
+// every cached batch is passed by the only cursor right after it ships,
+// so after thousands of batches the cache retains no more than the
+// in-flight window — not the entry or byte cap's worth of frames nobody
+// will read again.
+func TestBatchCacheRetainsOnlyRequestableFrames(t *testing.T) {
+	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
+	tr := NewMemTransport()
+	ln, _ := tr.Listen("leader")
+	const window = 64 << 10
+	l := NewLeader(w, &fakeSnap{w: w}, LeaderOptions{Epoch: 1, HeartbeatEvery: 20 * time.Millisecond, WindowBytes: window})
+	go l.Serve(ln)
+	defer l.Close()
+	app := &fakeApp{}
+	startFollower(t, app, tr, 1)
+	waitFor(t, "follower to connect", func() bool { return l.Followers() == 1 })
+
+	entries := make([]wal.Entry, 8)
+	peak := 0
+	const batches = 3000
+	for i := 0; i < batches; i++ {
+		for j := range entries {
+			entries[j] = wal.Entry{Key: "q", Wait: float64(i), UnixNanos: int64(i)}
+		}
+		first, err := w.AppendBatch(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.CommitWait(first + uint64(len(entries)) - 1); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		peak = max(peak, l.BatchCacheBytes())
+	}
+	if got := app.ReplicaAppliedSeq(); got != batches*8 {
+		t.Fatalf("follower applied %d, want %d", got, batches*8)
+	}
+	if shipped := l.ShipBytes(); shipped < 4*window {
+		t.Fatalf("shipped only %d bytes: the run never outgrew the window", shipped)
+	}
+	if peak > window {
+		t.Fatalf("batch cache retained up to %d bytes with one caught-up follower, want <= %d (in-flight window)", peak, window)
+	}
+}
+
 // stubSnapStream is a fixed chunk sequence for exercising the chunked
 // transfer protocol without a real qbets state.
 type stubSnapStream struct {

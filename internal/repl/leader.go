@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,7 +99,7 @@ type Leader struct {
 	ackMu      sync.Mutex
 	ackCond    *sync.Cond
 	ackSeq     uint64 // K-th-highest follower watermark; monotone
-	acks       ackTracker
+	acks       seqTracker
 	fenced     bool
 	fenceEpoch uint64
 
@@ -145,20 +146,21 @@ type Leader struct {
 	snapInflightPeak atomic.Int64
 }
 
-// ackTracker keeps every connected session's acknowledged watermark in a
-// sorted slice, so updating one follower's ack is a binary search plus a
-// memmove — O(N) for N followers — and the K-th-highest watermark is an
-// index from the top.
-type ackTracker struct{ w []uint64 }
+// seqTracker keeps one sequence number per connected session in a sorted
+// slice, so updating one session's value is a binary search plus a
+// memmove — O(N) for N followers. The quorum tracker holds acknowledged
+// watermarks (the K-th-highest is an index from the top); the batch cache
+// holds shipping cursors (the lowest is index 0).
+type seqTracker struct{ w []uint64 }
 
-func (t *ackTracker) insert(v uint64) {
+func (t *seqTracker) insert(v uint64) {
 	i := sort.Search(len(t.w), func(i int) bool { return t.w[i] >= v })
 	t.w = append(t.w, 0)
 	copy(t.w[i+1:], t.w[i:])
 	t.w[i] = v
 }
 
-func (t *ackTracker) remove(v uint64) {
+func (t *seqTracker) remove(v uint64) {
 	i := sort.Search(len(t.w), func(i int) bool { return t.w[i] >= v })
 	if i < len(t.w) && t.w[i] == v {
 		t.w = append(t.w[:i], t.w[i+1:]...)
@@ -167,7 +169,7 @@ func (t *ackTracker) remove(v uint64) {
 
 // kth returns the K-th highest watermark, or 0 when fewer than K
 // followers are connected — below quorum, nothing commits.
-func (t *ackTracker) kth(k int) uint64 {
+func (t *seqTracker) kth(k int) uint64 {
 	if k <= 0 {
 		k = 1
 	}
@@ -175,6 +177,15 @@ func (t *ackTracker) kth(k int) uint64 {
 		return 0
 	}
 	return t.w[len(t.w)-k]
+}
+
+// lowest returns the smallest value, or the maximum sequence number when
+// the tracker is empty.
+func (t *seqTracker) lowest() uint64 {
+	if len(t.w) == 0 {
+		return math.MaxUint64
+	}
+	return t.w[0]
 }
 
 // NewLeader wires a leader to its WAL and snapshot source. Call Serve
@@ -381,15 +392,16 @@ func (l *Leader) AckSeq() uint64 {
 func (l *Leader) Followers() int64 { return l.followers.Load() }
 
 // Cumulative counters and gauges for the metrics plane.
-func (l *Leader) BatchesSent() uint64       { return l.batches.Load() }
-func (l *Leader) RecordsShipped() uint64    { return l.records.Load() }
-func (l *Leader) SnapshotsSent() uint64     { return l.snapshots.Load() }
-func (l *Leader) HeartbeatsSent() uint64    { return l.heartbeats.Load() }
-func (l *Leader) Fences() uint64            { return l.fences.Load() }
-func (l *Leader) ShipBytes() uint64         { return l.shipBytes.Load() }
-func (l *Leader) BatchCacheHits() uint64    { return l.cache.Hits() }
-func (l *Leader) BatchCacheMisses() uint64  { return l.cache.Misses() }
-func (l *Leader) SnapChunksSent() uint64    { return l.snapChunks.Load() }
+func (l *Leader) BatchesSent() uint64           { return l.batches.Load() }
+func (l *Leader) RecordsShipped() uint64        { return l.records.Load() }
+func (l *Leader) SnapshotsSent() uint64         { return l.snapshots.Load() }
+func (l *Leader) HeartbeatsSent() uint64        { return l.heartbeats.Load() }
+func (l *Leader) Fences() uint64                { return l.fences.Load() }
+func (l *Leader) ShipBytes() uint64             { return l.shipBytes.Load() }
+func (l *Leader) BatchCacheHits() uint64        { return l.cache.Hits() }
+func (l *Leader) BatchCacheMisses() uint64      { return l.cache.Misses() }
+func (l *Leader) BatchCacheBytes() int          { return l.cache.Bytes() }
+func (l *Leader) SnapChunksSent() uint64        { return l.snapChunks.Load() }
 func (l *Leader) SnapGenerationsShared() uint64 { return l.snapShared.Load() }
 
 // InflightMessages and InflightBytes report the summed in-flight window
@@ -420,11 +432,11 @@ type session struct {
 	joined bool
 
 	// mu guards the in-flight window.
-	mu          sync.Mutex
-	pending     []pendingSend
+	mu           sync.Mutex
+	pending      []pendingSend
 	pendingBytes int
-	ackHigh     uint64 // highest msgAck seen
-	snapAckHigh int    // highest snapAck chunk index + 1 in this transfer
+	ackHigh      uint64 // highest msgAck seen
+	snapAckHigh  int    // highest snapAck chunk index + 1 in this transfer
 }
 
 // pendingSend is one unacknowledged message in the window: a batch
@@ -655,6 +667,15 @@ func (l *Leader) session(c Conn) {
 			return
 		}
 	}
+	// From here on the batch cache knows this session's cursor: every
+	// change goes through advance, and entries all registered cursors
+	// have passed are freed.
+	l.cache.track(cursor)
+	defer func() { l.cache.untrack(cursor) }()
+	advance := func(to uint64) {
+		l.cache.move(cursor, to)
+		cursor = to
+	}
 	hb := l.opt.HeartbeatEvery
 	timer := time.NewTimer(hb)
 	defer timer.Stop()
@@ -684,9 +705,11 @@ func (l *Leader) session(c Conn) {
 				return
 			}
 			if gap {
-				if !l.shipSnapshot(s, &cursor) {
+				covered := cursor
+				if !l.shipSnapshot(s, &covered) {
 					return
 				}
+				advance(covered)
 				continue
 			}
 			if e != nil {
@@ -700,7 +723,7 @@ func (l *Leader) session(c Conn) {
 				l.batches.Add(1)
 				l.records.Add(uint64(count))
 				l.shipBytes.Add(uint64(nbytes))
-				cursor = last
+				advance(last)
 				continue
 			}
 			// Nothing readable despite the watermark: raced a sync; wait.

@@ -302,7 +302,14 @@ func parseSegName(name string) (uint64, bool) {
 // sequence number seen. Torn or corrupt tails are tolerated: the damaged
 // segment contributes its valid prefix, the rest is counted into the
 // returned stats, and replay continues with the next segment. The returned
-// error is reserved for real I/O failures (unreadable directory or file).
+// error is reserved for real I/O failures (unreadable directory or file,
+// or a failed sync).
+//
+// Replay also establishes the durability watermark. The records it read
+// may still sit only in the page cache — written by a process that died
+// before its next sync — so each segment is fsynced before MaxSeq is
+// published as synced. Without the watermark a restarted leader would
+// claim a catch-up snapshot covers nothing and re-ship the replayed tail.
 func (w *WAL) Replay(apply func(Record)) (ReplayStats, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -357,10 +364,31 @@ func (w *WAL) Replay(apply func(Record)) (ReplayStats, error) {
 			stats.DroppedBytes += badFrame + countRemaining(br)
 		}
 		f.Close()
+		if err := w.syncSegment(name); err != nil {
+			return stats, err
+		}
 	}
 	w.nextSeq = stats.MaxSeq + 1
+	w.syncedSeq.Store(stats.MaxSeq)
 	w.replayed = true
 	return stats, nil
+}
+
+// syncSegment makes an existing segment's bytes durable. Any handle's
+// fsync flushes the file, so an append handle that writes nothing serves.
+func (w *WAL) syncSegment(name string) error {
+	f, err := w.opt.FS.OpenAppend(name)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
 }
 
 // appendPrepareLocked runs the checks and segment management every append

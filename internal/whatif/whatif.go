@@ -191,8 +191,11 @@ func (p *Planner) Evaluate(fingerprint uint64, scenarios []Scenario) []Outcome {
 	}
 	for i, sc := range scenarios {
 		if o, ok := p.cache[sc.key()]; ok {
+			// Echo the scenario as this request sent it: the entry may have
+			// been stored by a different literal with the same key (an
+			// omitted rate multiplier and an explicit 1, say).
 			o.Cached = true
-			o.Scenario.Name = sc.Name
+			o.Scenario = sc
 			outs[i] = o
 		} else {
 			miss = append(miss, i)
@@ -212,9 +215,7 @@ func (p *Planner) Evaluate(fingerprint uint64, scenarios []Scenario) []Outcome {
 	// may have swapped it, in which case these outcomes are already stale.
 	if p.fp == fingerprint {
 		for _, i := range miss {
-			o := outs[i]
-			o.Scenario.Name = ""
-			p.cache[scenarios[i].key()] = o
+			p.cache[scenarios[i].key()] = outs[i]
 		}
 	}
 	p.mu.Unlock()

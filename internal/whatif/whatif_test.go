@@ -140,6 +140,31 @@ func TestScenarioCacheAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestCacheHitEchoesRequestedScenario: scenarios that share a cache key
+// but differ as literals — an omitted rate multiplier and an explicit 1 —
+// each come back exactly as sent, whichever of them filled the entry.
+func TestCacheHitEchoesRequestedScenario(t *testing.T) {
+	p := testPlanner(200)
+	base := p.Evaluate(3, []Scenario{{}})[0]
+	if base.Scenario != (Scenario{}) {
+		t.Fatalf("miss echoed %+v, want the empty scenario", base.Scenario)
+	}
+	sent := Scenario{Name: "one", RateMultiplier: 1}
+	o := p.Evaluate(3, []Scenario{sent})[0]
+	if !o.Cached {
+		t.Fatal("same-key scenario missed the cache")
+	}
+	if o.Scenario != sent {
+		t.Fatalf("cache hit echoed %+v, want %+v as sent", o.Scenario, sent)
+	}
+	if o.BoundSeconds != base.BoundSeconds || o.Jobs != base.Jobs {
+		t.Fatalf("cache hit changed the outcome: %+v vs %+v", o, base)
+	}
+	if o := p.Evaluate(3, []Scenario{{}})[0]; o.Scenario != (Scenario{}) {
+		t.Fatalf("second empty scenario echoed %+v", o.Scenario)
+	}
+}
+
 func TestSizeToSLOMeetsTargetAndIsMonotone(t *testing.T) {
 	p := testPlanner(2000)
 	base := p.Evaluate(1, []Scenario{{}})[0]

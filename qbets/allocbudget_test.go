@@ -1,6 +1,12 @@
 package qbets
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
 
 // Alloc budgets for the steady-state write plane. The benchmarks report
 // allocs/op but CI doesn't fail on them; these tests do. The budget is
@@ -61,4 +67,62 @@ func TestObserveBatchAllocBudget(t *testing.T) {
 			t.Fatalf("ObserveBatch size %d averaged %.3f allocs/record, budget %.1f", size, perRec, writePathAllocBudget)
 		}
 	}
+}
+
+// restoredStreamHeapBudget is the live heap one restored stream of 64
+// waits may cost: the forecaster's history and order-statistic tree, its
+// monitoring state, and its share of the registry index. The wait data
+// itself is 0.5 KiB; the budget leaves room for the rest but not for
+// arenas reserved beyond what the stream holds.
+const restoredStreamHeapBudget = 3.5 * 1024
+
+// TestRestoredStreamHeapBudget restores a registry of streams with 64
+// waits each — the shape of a metascheduler's queue × category predictor
+// set — and bounds the live heap per stream.
+func TestRestoredStreamHeapBudget(t *testing.T) {
+	if raceEnabled {
+		// The race runtime changes how the program allocates (about a
+		// third more live heap here), so its figures do not describe a
+		// production build.
+		t.Skip("heap budget is measured without the race detector")
+	}
+	const queues = 1000
+	src := NewService(true, WithSeed(5))
+	rng := rand.New(rand.NewSource(5))
+	for q := 0; q < queues; q++ {
+		queue := fmt.Sprintf("queue-%04d", q)
+		for _, procs := range []int{1, 8, 32, 128} {
+			for i := 0; i < 64; i++ {
+				if err := src.Observe(queue, procs, math.Exp(3+2*rng.NormFloat64())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src = nil
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	restored := NewService(true)
+	if err := restored.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := restored.NumStreams()
+	if n != 4*queues {
+		t.Fatalf("restored %d streams, want %d", n, 4*queues)
+	}
+	perStream := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+	t.Logf("live heap per restored stream: %.0f B", perStream)
+	if perStream > restoredStreamHeapBudget {
+		t.Fatalf("restored stream costs %.0f B of live heap, budget %.0f B", perStream, float64(restoredStreamHeapBudget))
+	}
+	runtime.KeepAlive(blob)
+	runtime.KeepAlive(restored)
 }

@@ -26,8 +26,8 @@ import (
 // blob. Caller holds the stream's write lock; on return the stream is
 // fully hydrated and settled, ready for applyLocked.
 func (st *stream) rehydrateLocked(s *Service) error {
-	fc := New()
-	if err := fc.UnmarshalBinary(st.cold); err != nil {
+	fc, err := decodeForecaster(st.cold)
+	if err != nil {
 		return fmt.Errorf("qbets: rehydrate stream %q: %w", st.key, err)
 	}
 	fc.Forecast() // settle before any read path can see it

@@ -328,3 +328,74 @@ func TestReplicatedServingEndToEnd(t *testing.T) {
 		t.Fatalf("ack watermark %d, want >= 150", ack)
 	}
 }
+
+// TestRestartedLeaderCatchupCoversReplayedTail: a leader restarted over a
+// WAL tail serves a catch-up snapshot that already holds the tail, so a
+// new follower reaches the tail's last sequence from the snapshot alone
+// and no replayed record is shipped again as a batch.
+func TestRestartedLeaderCatchupCoversReplayedTail(t *testing.T) {
+	fs := wal.NewMemFS()
+	first := NewService(false, WithSeed(1))
+	w1, err := wal.Open("wal", wal.Options{FS: fs, Mode: wal.SyncEachRecord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.RecoverWAL(w1); err != nil {
+		t.Fatal(err)
+	}
+	const tail = 400
+	for i := 0; i < tail; i++ {
+		if err := first.Observe(fmt.Sprintf("q%d", i%5), 0, float64(1+i%90)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart: a fresh process replays the tail and leads a new epoch.
+	leaderSvc := NewService(false, WithSeed(1))
+	w2 := newReplicaWAL(t, wal.Options{FS: fs, Mode: wal.SyncEachRecord})
+	if _, err := leaderSvc.RecoverWAL(w2); err != nil {
+		t.Fatal(err)
+	}
+	tr := repl.NewMemTransport()
+	ln, err := tr.Listen("leader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ldr := repl.NewLeader(w2, leaderSvc, repl.LeaderOptions{Epoch: 2, HeartbeatEvery: 20 * time.Millisecond})
+	defer ldr.Close()
+	go ldr.Serve(ln)
+
+	folSvc := NewService(false, WithSeed(1))
+	folSvc.SetFollower(true)
+	fol, err := repl.NewFollower(folSvc, repl.FollowerOptions{
+		Addr:       "leader",
+		Transport:  tr,
+		Epochs:     &repl.MemEpochStore{},
+		BackoffMin: time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
+		Rand:       rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	go fol.Run()
+
+	waitForReplica(t, "follower to reach the replayed tail", func() bool {
+		return folSvc.ReplicaAppliedSeq() == tail
+	})
+	if n := ldr.RecordsShipped(); n != 0 {
+		t.Fatalf("leader re-shipped %d replayed records as batches; the snapshot already covered them", n)
+	}
+	for q := 0; q < 5; q++ {
+		key := fmt.Sprintf("q%d", q)
+		want, wantOK := leaderSvc.Forecast(key, 0)
+		got, gotOK := folSvc.Forecast(key, 0)
+		if want != got || wantOK != gotOK {
+			t.Fatalf("%s: follower forecast (%v,%v) != leader (%v,%v)", key, got, gotOK, want, wantOK)
+		}
+	}
+}

@@ -85,6 +85,8 @@ func (s *Server) SetLeaderReplication(l *repl.Leader) {
 		func(emit func(string, float64)) { emit("", float64(l.BatchCacheHits())) })
 	s.reg.RegisterCounterFunc("qbets_repl_batch_cache_misses_total", "Shipped batches that had to be read and framed from the WAL.",
 		func(emit func(string, float64)) { emit("", float64(l.BatchCacheMisses())) })
+	s.reg.RegisterGaugeFunc("qbets_repl_batch_cache_bytes", "Encoded frame bytes the batch cache retains for follower cursors that can still request them.",
+		func(emit func(string, float64)) { emit("", float64(l.BatchCacheBytes())) })
 	s.reg.RegisterGaugeFunc("qbets_repl_inflight_messages", "Sent-but-unacknowledged messages across all follower windows.",
 		func(emit func(string, float64)) { emit("", float64(l.InflightMessages())) })
 	s.reg.RegisterGaugeFunc("qbets_repl_inflight_bytes", "Sent-but-unacknowledged payload bytes across all follower windows.",

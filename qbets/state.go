@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/core"
 )
 
 // ErrCorruptState marks state blobs that fail to decode. Callers use it to
@@ -29,6 +31,17 @@ func (f *Forecaster) MarshalBinary() ([]byte, error) {
 // forecaster's configuration and history entirely.
 func (f *Forecaster) UnmarshalBinary(data []byte) error {
 	return f.b.UnmarshalBinary(data)
+}
+
+// decodeForecaster builds a forecaster straight from a state blob. Every
+// restore path uses it: building a default forecaster first would only
+// allocate a predictor for UnmarshalBinary to throw away.
+func decodeForecaster(blob []byte) (*Forecaster, error) {
+	f := &Forecaster{b: new(core.BMBP)}
+	if err := f.b.UnmarshalBinary(blob); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Save writes the forecaster's state to w.
@@ -99,11 +112,7 @@ func Load(r io.Reader) (*Forecaster, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := New()
-	if err := f.UnmarshalBinary(blob); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return decodeForecaster(blob)
 }
 
 // LoadFile restores a forecaster from a state file written by SaveFile.
@@ -112,11 +121,7 @@ func LoadFile(path string) (*Forecaster, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := New()
-	if err := f.UnmarshalBinary(blob); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return decodeForecaster(blob)
 }
 
 // Service persistence: the whole per-stream forecaster family serializes
@@ -191,8 +196,8 @@ func (s *Service) UnmarshalBinary(data []byte) error {
 	}
 	restored := make(map[string]*stream, len(blob.Streams))
 	for k, fb := range blob.Streams {
-		fc := New()
-		if err := fc.UnmarshalBinary(fb); err != nil {
+		fc, err := decodeForecaster(fb)
+		if err != nil {
 			return fmt.Errorf("qbets: %w: stream %q: %v", ErrCorruptState, k, err)
 		}
 		restored[k] = s.adoptStream(k, fc, blob.StreamSeqs[k])
