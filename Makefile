@@ -57,7 +57,9 @@ hypo-full:
 # single-threaded numbers. The replication set records the shipping
 # plane: ShipThroughput fans out to 1/2/4/8 followers (aggregate
 # records/s proves frame-once/ship-many), and SnapshotCatchup times a
-# chunked 4 MiB catch-up one-shot-style at -benchtime=20x. The scale benches (million-stream registry,
+# chunked 4 MiB catch-up one-shot-style at -benchtime=20x. StateSaveLoad
+# saves and restores a 20,000-stream registry at -benchtime=3x and reports
+# seconds and MB/s for each direction. The scale benches (million-stream registry,
 # stream-creation churn) are sized one-shot runs, so they go at
 # -benchtime=1x; their custom metrics (create-ns/stream, heapB/stream,
 # read-p50/p99-ns) land in "metrics". The what-if set (kernel replay,
@@ -72,6 +74,7 @@ bench:
 	go test -run '^$$' -bench 'ServiceForecast|ServiceProfile|ServiceReadWhileIngest|ServerForecast|FollowerForecast' -cpu 1,4 -benchmem ./qbets/ >> $$out; \
 	go test -run '^$$' -bench 'ShipThroughput' -count=3 -benchmem ./internal/repl/ >> $$out; \
 	go test -run '^$$' -bench 'SnapshotCatchup' -benchtime=20x -benchmem ./internal/repl/ >> $$out; \
+	go test -run '^$$' -bench 'StateSaveLoad' -benchtime=3x ./qbets/ >> $$out; \
 	go test -run '^$$' -bench 'SchedulerRun|RunHeap' -benchmem ./internal/scheduler/ >> $$out; \
 	go test -run '^$$' -bench 'WhatifGrid' -benchmem ./internal/whatif/ >> $$out; \
 	go test -run '^$$' -bench 'MillionStreams|StreamCreationChurn' -benchtime=1x -timeout 30m ./qbets/ >> $$out; \

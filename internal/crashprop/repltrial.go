@@ -600,4 +600,7 @@ type nopReplicaApp struct{}
 
 func (nopReplicaApp) ReplicaAppliedSeq() uint64                   { return 0 }
 func (nopReplicaApp) ApplyReplicated(uint64, []wal.Record) error  { return nil }
-func (nopReplicaApp) InstallReplicaSnapshot(uint64, []byte) error { return nil }
+func (nopReplicaApp) BeginReplicaSnapshot(uint64, []byte) error   { return nil }
+func (nopReplicaApp) ApplyReplicaSnapshotChunk(int, []byte) error { return nil }
+func (nopReplicaApp) CommitReplicaSnapshot(uint64) error          { return nil }
+func (nopReplicaApp) AbortReplicaSnapshot()                       {}

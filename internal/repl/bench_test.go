@@ -29,15 +29,18 @@ func (a *benchApp) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
 	return nil
 }
 
-func (a *benchApp) InstallReplicaSnapshot(coveredSeq uint64, blob []byte) error {
+func (a *benchApp) BeginReplicaSnapshot(uint64, []byte) error   { return nil }
+func (a *benchApp) ApplyReplicaSnapshotChunk(int, []byte) error { return nil }
+func (a *benchApp) AbortReplicaSnapshot()                       {}
+func (a *benchApp) CommitReplicaSnapshot(coveredSeq uint64) error {
 	a.applied.Store(coveredSeq)
 	return nil
 }
 
 type benchSnap struct{ app *benchApp }
 
-func (s benchSnap) ReplicaSnapshot() (uint64, []byte, error) {
-	return s.app.applied.Load(), []byte("{}"), nil
+func (s benchSnap) OpenReplicaSnapshotStream() (SnapshotStream, error) {
+	return &stubSnapStream{covered: s.app.applied.Load(), chunks: [][]byte{[]byte("{}")}}, nil
 }
 
 // BenchmarkShipThroughput measures end-to-end replication throughput over

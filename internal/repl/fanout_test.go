@@ -109,6 +109,36 @@ func TestWindowBackpressureBoundsInflight(t *testing.T) {
 	}
 }
 
+// TestWindowDrainsAckThatBeatItsSend: the receive loop can fold a
+// message's ack before the ship goroutine records the message as sent.
+// The window must still drain that entry; otherwise a full window waits
+// for an ack that already came, until the follower's heartbeat watchdog
+// cuts the session.
+func TestWindowDrainsAckThatBeatItsSend(t *testing.T) {
+	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
+	l := NewLeader(w, &fakeSnap{w: w}, LeaderOptions{Epoch: 1, WindowBytes: 8 << 10})
+	defer l.Close()
+	s := &session{l: l, ackCh: make(chan struct{}, 1), dead: make(chan struct{})}
+
+	s.onSnapAck(0)
+	s.noteSent(pendingSend{chunk: 1, bytes: 12 << 10})
+	if s.windowFull() {
+		t.Fatal("snapshot window full although its only chunk was acknowledged")
+	}
+	if !s.windowEmpty() {
+		t.Fatal("snapshot window not empty although its only chunk was acknowledged")
+	}
+
+	s.onAck(5)
+	s.noteSent(pendingSend{seq: 5, bytes: 12 << 10})
+	if s.windowFull() {
+		t.Fatal("batch window full although its only batch was acknowledged")
+	}
+	if got := l.InflightMessages(); got != 0 {
+		t.Fatalf("in-flight gauge %d after every send was acknowledged", got)
+	}
+}
+
 func TestQuorumCommitWait(t *testing.T) {
 	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord})
 	tr := NewMemTransport()
@@ -255,8 +285,7 @@ func (s *stubSnapStream) AppendChunk(i int, dst []byte) ([]byte, error) {
 	return append(dst, s.chunks[i]...), nil
 }
 
-// stubStreamSnap serves stubSnapStream generations; the monolithic
-// fallback must never be used when streaming is available.
+// stubStreamSnap serves stubSnapStream generations and counts them.
 type stubStreamSnap struct {
 	w      *wal.WAL
 	chunks [][]byte
@@ -265,69 +294,11 @@ type stubStreamSnap struct {
 	opens int
 }
 
-func (s *stubStreamSnap) ReplicaSnapshot() (uint64, []byte, error) {
-	return 0, nil, errors.New("monolithic path must not be used")
-}
-
 func (s *stubStreamSnap) OpenReplicaSnapshotStream() (SnapshotStream, error) {
 	s.mu.Lock()
 	s.opens++
 	s.mu.Unlock()
 	return &stubSnapStream{covered: s.w.SyncedSeq(), chunks: s.chunks}, nil
-}
-
-// TestChunkedSnapshotAssemblesOnPlainFollower: a follower without
-// ChunkedReplicaApp assembles the chunk stream into one blob and installs
-// it through the ordinary InstallReplicaSnapshot path.
-func TestChunkedSnapshotAssemblesOnPlainFollower(t *testing.T) {
-	w := newTestWAL(t, wal.Options{Mode: wal.SyncEachRecord, SegmentBytes: 64})
-	for i := 0; i < 30; i++ {
-		if _, err := w.Append("q", float64(i), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cut, err := w.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RemoveSegmentsBelow(cut); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := NewMemTransport()
-	ln, _ := tr.Listen("leader")
-	snap := &stubStreamSnap{w: w, chunks: [][]byte{[]byte("aa"), []byte("bb"), []byte("cc")}}
-	l := NewLeader(w, snap, LeaderOptions{Epoch: 1, HeartbeatEvery: 10 * time.Millisecond})
-	go l.Serve(ln)
-	defer l.Close()
-
-	app := &fakeApp{}
-	f := startFollower(t, app, tr, 1) // same epoch, compacted-away cursor
-	waitFor(t, "chunked catch-up", func() bool {
-		applied, installs, _ := app.stats()
-		return installs >= 1 && applied >= 30
-	})
-	app.mu.Lock()
-	blob := string(app.snapBlob)
-	app.mu.Unlock()
-	if blob != "aabbcc" {
-		t.Fatalf("assembled blob %q", blob)
-	}
-	if l.SnapChunksSent() < 3 {
-		t.Fatalf("leader sent %d chunks", l.SnapChunksSent())
-	}
-	if f.SnapshotChunksApplied() < 3 {
-		t.Fatalf("follower applied %d chunks", f.SnapshotChunksApplied())
-	}
-	if l.SnapshotsSent() == 0 {
-		t.Fatal("snapshots-sent counter never moved")
-	}
-	// The stream tails live after the install.
-	seq, err := w.Append("q", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "live record after chunked snapshot", func() bool { return app.ReplicaAppliedSeq() >= seq })
 }
 
 // TestConcurrentCatchupsShareSnapshotGeneration: two followers catching

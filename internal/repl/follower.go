@@ -17,21 +17,15 @@ import (
 // renegotiates position via the hello). Records passed to ApplyReplicated
 // are only valid for the duration of the call — the decode buffer is
 // reused — so implementations copy what they keep.
+//
+// A catch-up snapshot arrives chunk by chunk, so follower install memory
+// is O(chunk) too: Begin/Apply/Commit follow the leader's
+// snapBegin/snapChunk/snapEnd exactly, and Abort discards a partial
+// install after a torn transfer (the reconnect hello then re-requests the
+// snapshot from scratch).
 type ReplicaApp interface {
 	ReplicaAppliedSeq() uint64
 	ApplyReplicated(prevSeq uint64, recs []wal.Record) error
-	InstallReplicaSnapshot(coveredSeq uint64, blob []byte) error
-}
-
-// ChunkedReplicaApp is the streaming upgrade of ReplicaApp: the app
-// ingests a catch-up snapshot chunk by chunk instead of as one blob, so
-// follower install memory is O(chunk) too. Begin/Apply/Commit follow the
-// leader's snapBegin/snapChunk/snapEnd exactly; Abort discards a partial
-// install after a torn transfer (the reconnect hello then re-requests the
-// snapshot from scratch). Apps that do not implement it still work — the
-// follower assembles the chunks and calls InstallReplicaSnapshot.
-type ChunkedReplicaApp interface {
-	ReplicaApp
 	BeginReplicaSnapshot(coveredSeq uint64, header []byte) error
 	ApplyReplicaSnapshotChunk(index int, chunk []byte) error
 	CommitReplicaSnapshot(coveredSeq uint64) error
@@ -63,13 +57,12 @@ type FollowerOptions struct {
 }
 
 // Follower dials the leader, replays shipped batches (or installs
-// snapshots) through its app, and acknowledges applied sequences. It
+// chunked snapshots) through its app, and acknowledges applied sequences. It
 // reconnects forever with capped exponential backoff plus jitter until
 // Closed or Promoted.
 type Follower struct {
-	app      ReplicaApp
-	chunkApp ChunkedReplicaApp // non-nil when app supports chunked installs
-	opt      FollowerOptions
+	app ReplicaApp
+	opt FollowerOptions
 
 	mu     sync.Mutex
 	epoch  uint64 // highest epoch witnessed, persisted before adopted
@@ -109,7 +102,6 @@ func NewFollower(app ReplicaApp, opt FollowerOptions) (*Follower, error) {
 		opt.HeartbeatTimeout = 3 * time.Second
 	}
 	f := &Follower{app: app, opt: opt, done: make(chan struct{})}
-	f.chunkApp, _ = app.(ChunkedReplicaApp)
 	if opt.Epochs != nil {
 		e, err := opt.Epochs.Load()
 		if err != nil {
@@ -380,20 +372,9 @@ func (f *Follower) session(c Conn) (productive bool) {
 			return productive
 		}
 		switch m.kind {
-		case msgSnapshot:
-			if f.app.InstallReplicaSnapshot(m.arg, m.payload) != nil {
-				return productive
-			}
-			f.snapshots.Add(1)
-			f.maxLeaderSeq(m.arg)
-			productive = true
 		case msgSnapBegin:
-			if f.chunkApp != nil {
-				if f.chunkApp.BeginReplicaSnapshot(m.arg, m.payload) != nil {
-					return productive
-				}
-			} else {
-				snap.blob = snap.blob[:0]
+			if f.app.BeginReplicaSnapshot(m.arg, m.payload) != nil {
+				return productive
 			}
 			snap.active, snap.covered, snap.next = true, m.arg, 0
 			// No ack: the chunk window is driven by snapAcks, and the
@@ -405,14 +386,9 @@ func (f *Follower) session(c Conn) (productive bool) {
 				f.abortSnap(&snap)
 				return productive
 			}
-			chunk := m.payload[4:]
-			if f.chunkApp != nil {
-				if f.chunkApp.ApplyReplicaSnapshotChunk(snap.next, chunk) != nil {
-					f.abortSnap(&snap)
-					return productive
-				}
-			} else {
-				snap.blob = append(snap.blob, chunk...)
+			if f.app.ApplyReplicaSnapshotChunk(snap.next, m.payload[4:]) != nil {
+				f.abortSnap(&snap)
+				return productive
 			}
 			snap.next++
 			f.snapChunksIn.Add(1)
@@ -421,17 +397,8 @@ func (f *Follower) session(c Conn) (productive bool) {
 			}
 			continue
 		case msgSnapEnd:
-			if !snap.active || m.arg != snap.covered {
+			if !snap.active || m.arg != snap.covered || f.app.CommitReplicaSnapshot(snap.covered) != nil {
 				f.abortSnap(&snap)
-				return productive
-			}
-			if f.chunkApp != nil {
-				if f.chunkApp.CommitReplicaSnapshot(snap.covered) != nil {
-					f.abortSnap(&snap)
-					return productive
-				}
-			} else if f.app.InstallReplicaSnapshot(snap.covered, snap.blob) != nil {
-				snap.active = false
 				return productive
 			}
 			snap.active = false
@@ -470,23 +437,18 @@ func (f *Follower) session(c Conn) (productive bool) {
 	}
 }
 
-// snapState is one in-progress chunked install: the expected next chunk,
-// the covered sequence the commit will claim, and — for apps without
-// ChunkedReplicaApp — the assembled blob.
+// snapState is one in-progress chunked install: the expected next chunk
+// and the covered sequence the commit will claim.
 type snapState struct {
 	active  bool
 	covered uint64
 	next    int
-	blob    []byte
 }
 
 // abortSnap discards a partial chunked install after a torn transfer.
 func (f *Follower) abortSnap(s *snapState) {
-	if f.chunkApp != nil {
-		f.chunkApp.AbortReplicaSnapshot()
-	}
+	f.app.AbortReplicaSnapshot()
 	s.active = false
-	s.blob = s.blob[:0]
 	f.snapAborts.Add(1)
 }
 

@@ -13,13 +13,6 @@ import (
 	"repro/internal/wal"
 )
 
-// Snapshotter produces the catch-up snapshot a leader sends to a
-// follower whose cursor fell off the retained log: the full serving
-// state plus the log sequence it covers.
-type Snapshotter interface {
-	ReplicaSnapshot() (coveredSeq uint64, blob []byte, err error)
-}
-
 // SnapshotStream is a chunked catch-up snapshot: a fixed chunk count
 // captured at open time, rendered on demand. AppendChunk must be safe for
 // concurrent use — several follower sessions catching up at once share
@@ -34,10 +27,10 @@ type SnapshotStream interface {
 	Close()
 }
 
-// StreamSnapshotter is the chunked upgrade of Snapshotter. A leader whose
-// app implements it streams catch-ups as msgSnapBegin/msgSnapChunk/
-// msgSnapEnd; otherwise it falls back to the monolithic msgSnapshot.
-type StreamSnapshotter interface {
+// Snapshotter opens the catch-up snapshot a leader streams to a follower
+// whose cursor fell off the retained log: the full serving state, as
+// msgSnapBegin/msgSnapChunk/msgSnapEnd, plus the log sequence it covers.
+type Snapshotter interface {
 	OpenReplicaSnapshotStream() (SnapshotStream, error)
 }
 
@@ -86,10 +79,9 @@ type LeaderOptions struct {
 // sorted tracker whose K-th-highest value is the commit watermark
 // CommitWait observes.
 type Leader struct {
-	wal  *wal.WAL
-	app  Snapshotter
-	sapp StreamSnapshotter // non-nil when app supports chunked streaming
-	opt  LeaderOptions
+	wal *wal.WAL
+	app Snapshotter
+	opt LeaderOptions
 
 	cache *batchCache
 
@@ -217,7 +209,6 @@ func NewLeader(w *wal.WAL, app Snapshotter, opt LeaderOptions) *Leader {
 		conns: make(map[Conn]struct{}),
 		done:  make(chan struct{}),
 	}
-	l.sapp, _ = app.(StreamSnapshotter)
 	l.ackCond = sync.NewCond(&l.ackMu)
 	ch := make(chan struct{})
 	l.wake.Store(&ch)
@@ -490,9 +481,14 @@ func (s *session) drainLocked() {
 	}
 }
 
+// windowFull and windowEmpty drain before they judge: the receive loop
+// can fold a message's ack before the ship goroutine records that
+// message as sent, and such an entry would otherwise sit in the window
+// until a later ack that, with the window full, never comes.
 func (s *session) windowFull() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	if len(s.pending) == 0 {
 		return false
 	}
@@ -502,6 +498,7 @@ func (s *session) windowFull() bool {
 func (s *session) windowEmpty() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drainLocked()
 	return len(s.pending) == 0
 }
 
@@ -751,9 +748,12 @@ func (l *Leader) session(c Conn) {
 	}
 }
 
-// shipSnapshot sends a catch-up snapshot — chunked when the app supports
-// streaming, monolithic otherwise — and repositions the cursor at its
-// covered sequence. It reports false when the session is over.
+// shipSnapshot streams one snapshot generation to the follower — begin,
+// CRC-guarded chunks through the in-flight window, end — and repositions
+// the cursor at its covered sequence. Each chunk is rendered into a
+// pooled buffer on demand, so this session's snapshot memory is O(chunk);
+// the generation itself is shared with any other session catching up
+// concurrently. It reports false when the session is over.
 func (l *Leader) shipSnapshot(s *session, cursor *uint64) bool {
 	// Drain the window first: chunk indices restart per transfer, so the
 	// window must not mix a previous transfer's entries with this one's.
@@ -765,28 +765,6 @@ func (l *Leader) shipSnapshot(s *session, cursor *uint64) bool {
 	if l.fencedHint.Load() {
 		return false
 	}
-	if l.sapp != nil {
-		return l.shipChunkedSnapshot(s, cursor)
-	}
-	covered, blob, err := l.app.ReplicaSnapshot()
-	if err != nil {
-		return false
-	}
-	if s.sendMsg(message{kind: msgSnapshot, epoch: l.opt.Epoch, arg: covered, payload: blob}) != nil {
-		return false
-	}
-	l.snapshots.Add(1)
-	l.shipBytes.Add(uint64(len(blob)))
-	*cursor = covered
-	return true
-}
-
-// shipChunkedSnapshot streams one snapshot generation to the follower:
-// begin, CRC-guarded chunks through the in-flight window, end. Each chunk
-// is rendered into a pooled buffer on demand, so this session's snapshot
-// memory is O(chunk); the generation itself is shared with any other
-// session catching up concurrently.
-func (l *Leader) shipChunkedSnapshot(s *session, cursor *uint64) bool {
 	ss, release, err := l.acquireSnapGen()
 	if err != nil {
 		return false
@@ -861,7 +839,7 @@ func (l *Leader) acquireSnapGen() (SnapshotStream, func(), error) {
 		l.snapShared.Add(1)
 		return g.ss, func() { l.releaseSnapGen(g) }, nil
 	}
-	ss, err := l.sapp.OpenReplicaSnapshotStream()
+	ss, err := l.app.OpenReplicaSnapshotStream()
 	if err != nil {
 		return nil, nil, err
 	}

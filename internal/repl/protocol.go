@@ -10,7 +10,6 @@ import (
 // kind-specific operand and an optional payload:
 //
 //	hello      follower → leader   arg = follower's applied sequence
-//	snapshot   leader → follower   arg = covered sequence, payload = state blob
 //	batch      leader → follower   arg = prevSeq (the sequence this batch
 //	                               extends), payload = CRC-framed WAL records
 //	heartbeat  leader → follower   arg = leader's durability watermark
@@ -27,17 +26,20 @@ import (
 // anything else forces a reconnect, and the hello renegotiates position.
 //
 // snapBegin/snapChunk/snapEnd stream a catch-up snapshot as bounded
-// chunks instead of one monolithic blob, so leader memory during catch-up
-// is O(chunk), not O(state). Chunks carry their own CRC (in addition to
+// chunks, so leader memory during catch-up is O(chunk), not O(state). Chunks carry their own CRC (in addition to
 // the transport frame's) and strictly increasing indices; a follower that
 // sees a hole, a bad checksum, or a dropped end marker aborts the install
 // and reconnects — the hello then re-requests the snapshot from scratch.
 // snapAck drives the leader's chunk window the way ack drives the batch
 // window: the leader keeps at most a window of unacknowledged chunks in
 // flight per follower.
+//
+// Kind 2 carried a monolithic one-message snapshot in earlier builds. It
+// stays reserved so the other kinds keep their wire values, and
+// decodeMessage refuses it like any unknown kind.
 const (
 	msgHello byte = iota + 1
-	msgSnapshot
+	msgRetiredSnapshot
 	msgBatch
 	msgHeartbeat
 	msgAck
@@ -72,7 +74,7 @@ func decodeMessage(b []byte) (message, error) {
 		return m, fmt.Errorf("repl: message of %d bytes is shorter than the header", len(b))
 	}
 	m.kind = b[0]
-	if m.kind < msgHello || m.kind > msgKindMax {
+	if m.kind < msgHello || m.kind > msgKindMax || m.kind == msgRetiredSnapshot {
 		return m, fmt.Errorf("repl: unknown message kind %d", m.kind)
 	}
 	m.epoch = binary.LittleEndian.Uint64(b[1:9])

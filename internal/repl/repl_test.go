@@ -30,7 +30,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestProtocolRoundTrip(t *testing.T) {
 	msgs := []message{
 		{kind: msgHello, epoch: 3, arg: 42},
-		{kind: msgSnapshot, epoch: 1, arg: 7, payload: []byte("blob")},
+		{kind: msgSnapBegin, epoch: 1, arg: 7, payload: []byte("hdr")},
 		{kind: msgBatch, epoch: 9, arg: 100, payload: bytes.Repeat([]byte{0xAB}, 1000)},
 		{kind: msgHeartbeat, epoch: 2, arg: 55},
 		{kind: msgAck, epoch: 2, arg: 54},
@@ -52,6 +52,10 @@ func TestProtocolRoundTrip(t *testing.T) {
 	bad := encodeMessage(nil, message{kind: 99, epoch: 1})
 	if _, err := decodeMessage(bad); err == nil {
 		t.Fatal("unknown kind decoded")
+	}
+	retired := encodeMessage(nil, message{kind: msgRetiredSnapshot, epoch: 1, payload: []byte("blob")})
+	if _, err := decodeMessage(retired); err == nil {
+		t.Fatal("retired monolithic snapshot kind decoded")
 	}
 }
 
@@ -267,6 +271,7 @@ type fakeApp struct {
 	recs     []wal.Record
 	installs int
 	snapBlob []byte
+	pending  []byte // chunks of the install in progress, concatenated
 	failNext bool
 }
 
@@ -295,16 +300,36 @@ func (a *fakeApp) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
 	return nil
 }
 
-func (a *fakeApp) InstallReplicaSnapshot(coveredSeq uint64, blob []byte) error {
+func (a *fakeApp) BeginReplicaSnapshot(coveredSeq uint64, header []byte) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.pending = a.pending[:0]
+	return nil
+}
+
+func (a *fakeApp) ApplyReplicaSnapshotChunk(index int, chunk []byte) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.pending = append(a.pending, chunk...)
+	return nil
+}
+
+func (a *fakeApp) CommitReplicaSnapshot(coveredSeq uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.installs++
-	a.snapBlob = append([]byte(nil), blob...)
+	a.snapBlob = append([]byte(nil), a.pending...)
 	if coveredSeq > a.applied {
 		a.applied = coveredSeq
 		a.recs = a.recs[:0] // snapshot replaces replayed state
 	}
 	return nil
+}
+
+func (a *fakeApp) AbortReplicaSnapshot() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.pending = a.pending[:0]
 }
 
 func (a *fakeApp) stats() (applied uint64, installs int, n int) {
@@ -313,13 +338,19 @@ func (a *fakeApp) stats() (applied uint64, installs int, n int) {
 	return a.applied, a.installs, len(a.recs)
 }
 
+// fakeSnap serves the WAL's watermark as the covered sequence and blob,
+// if set, as the one chunk of every snapshot.
 type fakeSnap struct {
 	w    *wal.WAL
 	blob []byte
 }
 
-func (s *fakeSnap) ReplicaSnapshot() (uint64, []byte, error) {
-	return s.w.SyncedSeq(), s.blob, nil
+func (s *fakeSnap) OpenReplicaSnapshotStream() (SnapshotStream, error) {
+	ss := &stubSnapStream{covered: s.w.SyncedSeq()}
+	if s.blob != nil {
+		ss.chunks = [][]byte{s.blob}
+	}
+	return ss, nil
 }
 
 func newTestWAL(t *testing.T, opt wal.Options) *wal.WAL {
@@ -426,7 +457,7 @@ func TestLeaderSnapshotsCompactedFollower(t *testing.T) {
 	defer l.Close()
 
 	app := &fakeApp{}
-	startFollower(t, app, tr, 1) // same epoch, but its cursor fell off the log
+	f := startFollower(t, app, tr, 1) // same epoch, but its cursor fell off the log
 	waitFor(t, "snapshot catch-up", func() bool {
 		applied, installs, _ := app.stats()
 		return installs >= 1 && applied >= 30
@@ -439,6 +470,9 @@ func TestLeaderSnapshotsCompactedFollower(t *testing.T) {
 	}
 	if l.SnapshotsSent() == 0 {
 		t.Fatal("leader sent no snapshot")
+	}
+	if l.SnapChunksSent() == 0 || f.SnapshotChunksApplied() == 0 {
+		t.Fatalf("chunk counters: leader sent %d, follower applied %d", l.SnapChunksSent(), f.SnapshotChunksApplied())
 	}
 
 	// After catch-up the follower tails live appends.

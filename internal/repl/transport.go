@@ -8,8 +8,9 @@
 // The robustness envelope:
 //
 //   - snapshot catch-up: a new or lagging follower whose cursor fell off
-//     the leader's compacted log receives a full state snapshot (the
-//     sharded save format) and resumes tailing from its covered sequence;
+//     the leader's compacted log receives a full state snapshot (header
+//     plus chunks, the state-directory format) and resumes tailing from
+//     its covered sequence;
 //   - epoch fencing: every message carries the sender's epoch; a leader
 //     that learns of a higher epoch is deposed and can never ack again —
 //     the fence is checked before the ack watermark, mirroring the WAL
@@ -68,9 +69,9 @@ type Transport interface {
 // either here or by the per-record CRC inside a shipped batch.
 const tcpFrameHeader = 8
 
-// maxMessageBytes bounds a single message. Snapshots dominate: a full
-// sharded state blob must fit, so the cap is generous; anything larger is
-// a protocol violation, not a bigger buffer.
+// maxMessageBytes bounds a single message. Snapshot chunks dominate: a
+// chunk of large streams must fit, so the cap is generous; anything larger
+// is a protocol violation, not a bigger buffer.
 const maxMessageBytes = 512 << 20
 
 var tcpCastagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -70,15 +70,25 @@ func TestObserveBatchAllocBudget(t *testing.T) {
 }
 
 // restoredStreamHeapBudget is the live heap one restored stream of 64
-// waits may cost: the forecaster's history and order-statistic tree, its
-// monitoring state, and its share of the registry index. The wait data
-// itself is 0.5 KiB; the budget leaves room for the rest but not for
-// arenas reserved beyond what the stream holds.
+// waits may cost: its saved core and forecast snapshot (a restore adopts
+// streams cold), its monitoring state, and its share of the registry
+// index. The wait data itself is 0.5 KiB; the budget leaves room for the
+// rest but not for arenas reserved beyond what the stream holds.
 const restoredStreamHeapBudget = 3.5 * 1024
+
+// writtenStreamHeapBudget is the live heap the same stream may cost once
+// a write has rehydrated it: the decoded forecaster's history and
+// order-statistic tree, sized to their contents on decode, plus the
+// history slice's first growth (64 to 128 values) that the write's append
+// makes.
+const writtenStreamHeapBudget = 4.75 * 1024
 
 // TestRestoredStreamHeapBudget restores a registry of streams with 64
 // waits each — the shape of a metascheduler's queue × category predictor
-// set — and bounds the live heap per stream.
+// set — and bounds the live heap per stream twice: as restored, and after
+// one write per stream, which leaves every stream holding its decoded
+// forecaster. The baseline is read with no encoder buffer live, so the
+// figures are the service's alone.
 func TestRestoredStreamHeapBudget(t *testing.T) {
 	if raceEnabled {
 		// The race runtime changes how the program allocates (about a
@@ -87,11 +97,12 @@ func TestRestoredStreamHeapBudget(t *testing.T) {
 		t.Skip("heap budget is measured without the race detector")
 	}
 	const queues = 1000
+	procsSet := []int{1, 8, 32, 128}
 	src := NewService(true, WithSeed(5))
 	rng := rand.New(rand.NewSource(5))
 	for q := 0; q < queues; q++ {
 		queue := fmt.Sprintf("queue-%04d", q)
-		for _, procs := range []int{1, 8, 32, 128} {
+		for _, procs := range procsSet {
 			for i := 0; i < 64; i++ {
 				if err := src.Observe(queue, procs, math.Exp(3+2*rng.NormFloat64())); err != nil {
 					t.Fatal(err)
@@ -99,30 +110,56 @@ func TestRestoredStreamHeapBudget(t *testing.T) {
 			}
 		}
 	}
-	blob, err := src.MarshalBinary()
-	if err != nil {
+	dir := t.TempDir()
+	if err := src.SaveFile(dir); err != nil {
 		t.Fatal(err)
 	}
 	src = nil
 
-	var before, after runtime.MemStats
+	var before, restoredMem, writtenMem runtime.MemStats
+	// Two collections: the second empties sync.Pool victim caches, whose
+	// buffers would otherwise be freed inside the measured window.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	restored := NewService(true)
-	if err := restored.UnmarshalBinary(blob); err != nil {
+	if err := restored.LoadFile(dir); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
-	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&restoredMem)
+	for q := 0; q < queues; q++ {
+		queue := fmt.Sprintf("queue-%04d", q)
+		for _, procs := range procsSet {
+			if err := restored.Observe(queue, procs, math.Exp(3+2*rng.NormFloat64())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&writtenMem)
 	n := restored.NumStreams()
 	if n != 4*queues {
 		t.Fatalf("restored %d streams, want %d", n, 4*queues)
 	}
-	perStream := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
-	t.Logf("live heap per restored stream: %.0f B", perStream)
-	if perStream > restoredStreamHeapBudget {
-		t.Fatalf("restored stream costs %.0f B of live heap, budget %.0f B", perStream, float64(restoredStreamHeapBudget))
+	if live := restored.LiveStreams(); live != n {
+		t.Fatalf("%d of %d streams hydrated after one write each", live, n)
 	}
-	runtime.KeepAlive(blob)
+	for _, c := range []struct {
+		what   string
+		mem    *runtime.MemStats
+		budget float64
+	}{
+		{"restored", &restoredMem, restoredStreamHeapBudget},
+		{"restored and written", &writtenMem, writtenStreamHeapBudget},
+	} {
+		perStream := (float64(c.mem.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+		t.Logf("live heap per %s stream: %.0f B", c.what, perStream)
+		if perStream > c.budget {
+			t.Fatalf("%s stream costs %.0f B of live heap, budget %.0f B", c.what, perStream, c.budget)
+		}
+	}
 	runtime.KeepAlive(restored)
 }

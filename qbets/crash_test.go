@@ -160,20 +160,28 @@ func TestSaveFileCompactsWAL(t *testing.T) {
 }
 
 // TestQuarantineStateFile covers the corrupt-snapshot startup path: the
-// bad file is moved aside (evidence preserved), not deleted, and the
-// original path is free for a fresh snapshot.
+// bad state directory is moved aside (evidence preserved), not deleted,
+// and the original path is free for a fresh snapshot.
 func TestQuarantineStateFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "state.bin")
-	if err := os.WriteFile(path, []byte("not json at all"), 0o644); err != nil {
+	path := filepath.Join(dir, "state")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, "CURRENT"), []byte("not json at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := qbets.LoadServiceFile(path, false); !errors.Is(err, qbets.ErrCorruptState) {
-		t.Fatalf("corrupt state file: err = %v, want ErrCorruptState (it gates quarantine)", err)
+		t.Fatalf("corrupt state: err = %v, want ErrCorruptState (it gates quarantine)", err)
 	}
 	// An I/O failure is not corruption: the startup path must fail fast on
-	// it instead of quarantining a possibly intact file.
-	if _, err := qbets.LoadServiceFile(dir, false); err == nil || errors.Is(err, qbets.ErrCorruptState) {
+	// it instead of quarantining possibly intact state. A regular file
+	// where the directory should be cannot be read as one.
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := qbets.LoadServiceFile(file, false); err == nil || errors.Is(err, qbets.ErrCorruptState) {
 		t.Fatalf("read error misclassified as corruption: %v", err)
 	}
 	qpath, err := qbets.QuarantineStateFile(path)
@@ -186,7 +194,7 @@ func TestQuarantineStateFile(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("original path still occupied after quarantine: %v", err)
 	}
-	moved, err := os.ReadFile(qpath)
+	moved, err := os.ReadFile(filepath.Join(qpath, "CURRENT"))
 	if err != nil || string(moved) != "not json at all" {
 		t.Fatalf("quarantined contents lost: %q, %v", moved, err)
 	}

@@ -126,6 +126,7 @@ func TestEvictWALReplayOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewService(false, WithSeed(21))
+	svc.SetSnapshotChunkStreams(2) // 6 streams -> 3 shard files
 	if _, err := svc.RecoverWAL(w); err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +156,11 @@ func TestEvictWALReplayOracle(t *testing.T) {
 			// accepting replayed-on-top writes next round.
 			svc.EvictIdle(0)
 		case 1:
-			// Sharded snapshot mid-traffic with a mix of hot and cold
-			// streams; compacts the WAL under the recovery anchor.
-			if err := svc.SaveShards(stateDir, 4); err != nil {
-				t.Fatalf("SaveShards: %v", err)
+			// Snapshot of several shard files mid-traffic with a mix of
+			// hot and cold streams; compacts the WAL under the recovery
+			// anchor.
+			if err := svc.SaveFile(stateDir); err != nil {
+				t.Fatalf("SaveFile: %v", err)
 			}
 		}
 	}
@@ -167,12 +169,12 @@ func TestEvictWALReplayOracle(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadServiceShards(stateDir, false, WithSeed(21))
+	restored, err := LoadServiceFile(stateDir, false, WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.LiveStreams() != 0 {
-		t.Fatalf("sharded restore hydrated %d streams, want 0 (cold adoption)", restored.LiveStreams())
+		t.Fatalf("restore hydrated %d streams, want 0 (cold adoption)", restored.LiveStreams())
 	}
 	w2, err := wal.Open(walDir, wal.Options{})
 	if err != nil {

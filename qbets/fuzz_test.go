@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 // decodeObservePayload mirrors the handler's parse: first JSON value only
@@ -108,5 +110,100 @@ func FuzzObserveRecord(f *testing.F) {
 				t.Fatalf("400 without JSON error body for %q: %s", data, w.Body.String())
 			}
 		}
+	})
+}
+
+// FuzzSnapshotInstall feeds arbitrary header and chunk bytes through the
+// follower's chunked install (Begin / ApplyChunk / Commit), the code every
+// catch-up and every state-directory load runs. It must never panic. Any
+// refusal must leave the serving state as it was: stream count, applied
+// sequence and a sampled forecast. A commit must install exactly the
+// streams the chunks delivered, at the covered sequence.
+func FuzzSnapshotInstall(f *testing.F) {
+	leader := NewService(false, WithSeed(2))
+	for i := 0; i < 90; i++ {
+		leader.Observe([]string{"a", "b", "c"}[i%3], 0, float64(1+i%17))
+	}
+	leader.SetSnapshotChunkStreams(2)
+	ss, err := leader.OpenReplicaSnapshotStream()
+	if err != nil {
+		f.Fatal(err)
+	}
+	c0, _ := ss.AppendChunk(0, nil)
+	c1, _ := ss.AppendChunk(1, nil)
+	f.Add(uint64(90), ss.Header(), c0, c1)
+	f.Add(uint64(90), ss.Header(), c0, []byte(nil))
+	f.Add(uint64(90), ss.Header(), c1, c0)
+	f.Add(uint64(3), []byte(`{"by_procs":true,"next_seed":1,"shards":1,"streams":0}`), []byte("{}"), []byte(nil))
+	f.Add(uint64(3), []byte(`{"shards":0}`), []byte("{}"), []byte(nil))
+	f.Add(uint64(3), []byte(`{"shards":1,"streams":1}`), []byte(`{"x":{"state":"AAAA","bound":-1,"observations":-5}}`), []byte(nil))
+	f.Add(uint64(3), []byte(`{"shards":1,"streams":0}`), []byte("null"), []byte(nil))
+	f.Add(uint64(0), []byte("not json"), []byte("torn"), []byte("{"))
+
+	f.Fuzz(func(t *testing.T, covered uint64, header, chunk0, chunk1 []byte) {
+		svc := NewService(false, WithSeed(1))
+		svc.SetFollower(true)
+		recs := make([]wal.Record, 80)
+		for i := range recs {
+			recs[i] = wal.Record{Seq: uint64(i + 1), Key: "normal", Wait: float64(1 + i%23), UnixNanos: 1}
+		}
+		if err := svc.ApplyReplicated(0, recs); err != nil {
+			t.Fatal(err)
+		}
+		preN, preSeq := svc.NumStreams(), svc.ReplicaAppliedSeq()
+		preB, preOK := svc.Forecast("normal", 0)
+		unchanged := func(stage string, err error) {
+			t.Helper()
+			if n := svc.NumStreams(); n != preN {
+				t.Fatalf("%s refused (%v) but streams went %d -> %d", stage, err, preN, n)
+			}
+			if seq := svc.ReplicaAppliedSeq(); seq != preSeq {
+				t.Fatalf("%s refused (%v) but the applied seq went %d -> %d", stage, err, preSeq, seq)
+			}
+			if b, ok := svc.Forecast("normal", 0); b != preB || ok != preOK {
+				t.Fatalf("%s refused (%v) but the forecast went (%v,%v) -> (%v,%v)", stage, err, preB, preOK, b, ok)
+			}
+		}
+
+		if err := svc.BeginReplicaSnapshot(covered, header); err != nil {
+			unchanged("begin", err)
+			return
+		}
+		chunks := [][]byte{chunk0}
+		if len(chunk1) > 0 {
+			chunks = append(chunks, chunk1)
+		}
+		delivered := make(map[string]bool)
+		for i, c := range chunks {
+			if err := svc.ApplyReplicaSnapshotChunk(i, c); err != nil {
+				svc.AbortReplicaSnapshot()
+				unchanged("chunk", err)
+				return
+			}
+			var m map[string]json.RawMessage
+			if err := json.Unmarshal(c, &m); err != nil {
+				t.Fatalf("chunk %d applied but does not parse: %v", i, err)
+			}
+			for k := range m {
+				delivered[k] = true
+			}
+		}
+		if err := svc.CommitReplicaSnapshot(covered); err != nil {
+			unchanged("commit", err)
+			return
+		}
+		if n := svc.NumStreams(); n != len(delivered) {
+			t.Fatalf("commit installed %d streams, %d delivered", n, len(delivered))
+		}
+		for k := range svc.snapshotStreams() {
+			if !delivered[k] {
+				t.Fatalf("commit installed stream %q that no chunk delivered", k)
+			}
+		}
+		if seq := svc.ReplicaAppliedSeq(); seq != covered {
+			t.Fatalf("applied seq %d after committing a snapshot covering %d", seq, covered)
+		}
+		svc.Stats()
+		svc.Queues()
 	})
 }

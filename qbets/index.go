@@ -160,7 +160,7 @@ func newStreamIndex(parts int) *streamIndex {
 }
 
 // hashSeed makes key hashes process-local; nothing on disk or on the wire
-// depends on placement (the sharded state loader reads every shard file),
+// depends on placement (snapshots order streams by key),
 // so a fresh seed per process is free hash-flooding resistance.
 var hashSeed = maphash.MakeSeed()
 

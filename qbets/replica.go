@@ -1,7 +1,6 @@
 package qbets
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -11,8 +10,8 @@ import (
 
 // Follower mode. A follower Service serves the lock-free forecast plane
 // from replicated state and refuses writes: observations reach it only
-// through ApplyReplicated (shipped WAL batches) and
-// InstallReplicaSnapshot (catch-up), both driven by a repl.Follower. The
+// through ApplyReplicated (shipped WAL batches) and the chunked snapshot
+// install (catch-up, replicastream.go), both driven by a repl.Follower. The
 // apply path is the WAL-recovery machinery — replayGroupLocked with
 // per-stream lastSeq dedup — so a replicated record folds in exactly as
 // it would have during crash recovery on the leader, and re-delivery is
@@ -29,15 +28,6 @@ var ErrNotLeader = errors.New("qbets: not the leader: this node serves follower 
 // follower's applied prefix — records were lost or reordered in transit.
 // The replication session reconnects and renegotiates position.
 var ErrReplicaGap = errors.New("qbets: replicated batch does not extend the applied prefix")
-
-// replicaState is the wire form of a catch-up snapshot: the sharded save
-// format's per-stream cores, plus the service header, in one document.
-// The covered sequence travels alongside it in the protocol message.
-type replicaState struct {
-	ByProcs  bool                   `json:"by_procs"`
-	NextSeed int64                  `json:"next_seed"`
-	Streams  map[string]shardStream `json:"streams"`
-}
 
 // SetFollower switches the service's write gate. Set it before the node
 // takes traffic; Promote clears it after a failover.
@@ -126,68 +116,6 @@ func (s *Service) ApplyReplicated(prevSeq uint64, recs []wal.Record) error {
 	if last := recs[len(recs)-1].Seq; last > applied {
 		s.replApplied.Store(last)
 	}
-	return nil
-}
-
-// ReplicaSnapshot captures the full serving state for follower catch-up:
-// every stream's saved core (the sharded on-disk format, marshaled to one
-// document) and the log sequence the snapshot covers. The covered
-// sequence is read BEFORE any stream is marshaled: a record at or below
-// it was durable — and therefore applied, under the same stream lock hold
-// as its append — before the capture began, so the per-stream read locks
-// taken during marshaling are guaranteed to observe it. Records applied
-// during the capture may leak in; their sequence anchors ride along in
-// the stream cores, so the follower's replay dedup drops the overlap.
-func (s *Service) ReplicaSnapshot() (coveredSeq uint64, blob []byte, err error) {
-	if s.wal != nil {
-		coveredSeq = s.wal.SyncedSeq()
-	}
-	// A promoted leader's replicated prefix may sit above its (fresh)
-	// local log's watermark; the snapshot covers that prefix too.
-	if ra := s.replApplied.Load(); ra > coveredSeq {
-		coveredSeq = ra
-	}
-	streams := s.snapshotStreams()
-	doc := replicaState{
-		ByProcs:  s.byProcs.Load(),
-		NextSeed: s.nextSeed.Load(),
-		Streams:  make(map[string]shardStream, len(streams)),
-	}
-	for k, st := range streams {
-		core, cerr := coreOf(k, st)
-		if cerr != nil {
-			return 0, nil, cerr
-		}
-		doc.Streams[k] = core
-	}
-	blob, err = json.Marshal(doc)
-	if err != nil {
-		return 0, nil, err
-	}
-	return coveredSeq, blob, nil
-}
-
-// InstallReplicaSnapshot replaces the follower's state wholesale with a
-// leader snapshot — the same cold-adoption path as a sharded restore, so
-// a million-stream install decodes no forecaster history.
-func (s *Service) InstallReplicaSnapshot(coveredSeq uint64, blob []byte) error {
-	if !s.follower.Load() {
-		return fmt.Errorf("qbets: InstallReplicaSnapshot on a non-follower")
-	}
-	var doc replicaState
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		return fmt.Errorf("qbets: %w: replica snapshot: %v", ErrCorruptState, err)
-	}
-	restored := make(map[string]*stream, len(doc.Streams))
-	for k, core := range doc.Streams {
-		restored[k] = s.adoptColdStream(k, core)
-	}
-	s.byProcs.Store(doc.ByProcs)
-	s.nextSeed.Store(doc.NextSeed)
-	s.replaceStreams(restored)
-	// The installed state is authoritative: it replaced whatever was
-	// applied before, so the position resets to what it covers.
-	s.replApplied.Store(coveredSeq)
 	return nil
 }
 

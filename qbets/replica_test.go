@@ -132,19 +132,19 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	covered, blob, err := leader.ReplicaSnapshot()
+	ss, err := leader.OpenReplicaSnapshotStream()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ss.Close()
+	covered := ss.CoveredSeq()
 	if covered != 120 {
 		t.Fatalf("covered = %d, want 120", covered)
 	}
 
 	fol := NewService(false, WithSeed(1))
 	fol.SetFollower(true)
-	if err := fol.InstallReplicaSnapshot(covered, blob); err != nil {
-		t.Fatal(err)
-	}
+	feedChunkedSnapshot(t, ss, fol)
 	if got := fol.ReplicaAppliedSeq(); got != covered {
 		t.Fatalf("ReplicaAppliedSeq = %d, want %d", got, covered)
 	}
@@ -181,7 +181,7 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// A corrupt snapshot must be refused, not half-installed.
-	if err := fol.InstallReplicaSnapshot(1, []byte("not json")); !errors.Is(err, ErrCorruptState) {
+	if err := fol.BeginReplicaSnapshot(1, []byte("not json")); !errors.Is(err, ErrCorruptState) {
 		t.Fatalf("corrupt snapshot: got %v, want ErrCorruptState", err)
 	}
 }

@@ -34,7 +34,7 @@ func feedChunkedSnapshot(t *testing.T, src repl.SnapshotStream, dst *Service) {
 
 // TestReplicaSnapshotStreamRoundTrip: a chunked capture, fed chunk by
 // chunk into a follower, reproduces the leader's state exactly — and
-// matches what the monolithic snapshot would have installed.
+// matches what a save and load of the same state restores.
 func TestReplicaSnapshotStreamRoundTrip(t *testing.T) {
 	leader := NewService(false, WithSeed(1))
 	w := newReplicaWAL(t, wal.Options{Mode: wal.SyncEachRecord})
@@ -66,18 +66,17 @@ func TestReplicaSnapshotStreamRoundTrip(t *testing.T) {
 		t.Fatalf("ReplicaAppliedSeq = %d, want 120", got)
 	}
 
-	covered, blob, err := leader.ReplicaSnapshot()
+	dir := t.TempDir()
+	if err := leader.SaveFile(dir); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := LoadServiceFile(dir, false, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono := NewService(false, WithSeed(1))
-	mono.SetFollower(true)
-	if err := mono.InstallReplicaSnapshot(covered, blob); err != nil {
-		t.Fatal(err)
-	}
 
-	if chunked.NumStreams() != leader.NumStreams() || mono.NumStreams() != leader.NumStreams() {
-		t.Fatalf("streams: chunked %d, mono %d, leader %d", chunked.NumStreams(), mono.NumStreams(), leader.NumStreams())
+	if chunked.NumStreams() != leader.NumStreams() || disk.NumStreams() != leader.NumStreams() {
+		t.Fatalf("streams: chunked %d, disk %d, leader %d", chunked.NumStreams(), disk.NumStreams(), leader.NumStreams())
 	}
 	for i := 0; i < 7; i++ {
 		q := fmt.Sprintf("q%d", i)
@@ -85,8 +84,8 @@ func TestReplicaSnapshotStreamRoundTrip(t *testing.T) {
 		if got, ok := chunked.Forecast(q, 0); got != want || ok != wantOK {
 			t.Fatalf("queue %q: chunked forecast (%v,%v) != leader (%v,%v)", q, got, ok, want, wantOK)
 		}
-		if got, ok := mono.Forecast(q, 0); got != want || ok != wantOK {
-			t.Fatalf("queue %q: monolithic forecast (%v,%v) != leader (%v,%v)", q, got, ok, want, wantOK)
+		if got, ok := disk.Forecast(q, 0); got != want || ok != wantOK {
+			t.Fatalf("queue %q: restored forecast (%v,%v) != leader (%v,%v)", q, got, ok, want, wantOK)
 		}
 		ws, _ := leader.StreamStats(q, 0)
 		cs, _ := chunked.StreamStats(q, 0)
@@ -125,7 +124,7 @@ func TestChunkedInstallGuards(t *testing.T) {
 
 	// A commit before every declared chunk arrived (a reordered end
 	// marker) must refuse rather than install truncated state.
-	if err := s.BeginReplicaSnapshot(7, []byte(`{"by_procs":false,"next_seed":1,"streams":2,"chunks":2}`)); err != nil {
+	if err := s.BeginReplicaSnapshot(7, []byte(`{"by_procs":false,"next_seed":1,"streams":2,"shards":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ApplyReplicaSnapshotChunk(0, []byte("{}")); err != nil {
@@ -138,7 +137,7 @@ func TestChunkedInstallGuards(t *testing.T) {
 		t.Fatalf("premature commit moved the applied seq to %d", s.ReplicaAppliedSeq())
 	}
 	// An out-of-order or extra chunk is refused too.
-	if err := s.BeginReplicaSnapshot(7, []byte(`{"by_procs":false,"next_seed":1,"streams":2,"chunks":2}`)); err != nil {
+	if err := s.BeginReplicaSnapshot(7, []byte(`{"by_procs":false,"next_seed":1,"streams":2,"shards":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ApplyReplicaSnapshotChunk(1, []byte("{}")); !errors.Is(err, ErrCorruptState) {
@@ -152,7 +151,7 @@ func TestChunkedInstallGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	preF, preOK := s.Forecast("normal", 0)
-	if err := s.BeginReplicaSnapshot(9, []byte(`{"by_procs":false,"next_seed":1,"streams":1,"chunks":2}`)); err != nil {
+	if err := s.BeginReplicaSnapshot(9, []byte(`{"by_procs":false,"next_seed":1,"streams":1,"shards":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ApplyReplicaSnapshotChunk(0, []byte("torn")); !errors.Is(err, ErrCorruptState) {

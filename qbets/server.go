@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -761,34 +760,18 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// SaveFile persists the server's accumulated state (all streams) to a
-// file; safe to call while serving.
+// SaveFile persists the server's accumulated state (all streams) as a
+// generation under the directory path; safe to call while serving.
 func (s *Server) SaveFile(path string) error {
 	return s.svc.SaveFile(path)
 }
 
-// LoadFile replaces the server's state from a file written by SaveFile;
-// safe to call while serving (in-flight requests finish against the old
-// stream set).
+// LoadFile replaces the server's state from a directory written by
+// SaveFile; safe to call while serving (in-flight requests finish against
+// the old stream set). Streams are adopted cold and rehydrate on their
+// first write.
 func (s *Server) LoadFile(path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return s.svc.UnmarshalBinary(blob)
-}
-
-// SaveShards persists the server's state as a sharded directory (the
-// million-stream format; see SaveShards on Service). Safe while serving.
-func (s *Server) SaveShards(dir string, shards int) error {
-	return s.svc.SaveShards(dir, shards)
-}
-
-// LoadShards replaces the server's state from a sharded directory written
-// by SaveShards; safe while serving. Streams are adopted cold and
-// rehydrate on their first write.
-func (s *Server) LoadShards(dir string) error {
-	return s.svc.LoadShards(dir)
+	return s.svc.LoadFile(path)
 }
 
 func (s *Server) shapeParams(w http.ResponseWriter, r *http.Request) (queue string, procs int, ok bool) {

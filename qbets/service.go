@@ -116,12 +116,17 @@ type Service struct {
 	replApplied atomic.Uint64
 	commitHook  func(lastSeq uint64) error
 
-	// Chunked catch-up (replicastream.go). snapChunkStreams is the
-	// per-chunk stream count for outgoing snapshot streams (0 = default);
-	// pendingSnap accumulates an incoming chunked install until commit.
+	// Snapshots (replicastream.go). snapChunkStreams is the per-chunk
+	// stream count of captured snapshots (0 = default); pendingSnap
+	// accumulates an incoming chunked install until commit.
 	snapChunkStreams atomic.Int64
 	pendingSnapMu    sync.Mutex
-	pendingSnap      *pendingReplicaSnapshot
+	pendingSnap      *pendingInstall
+
+	// saveMu serializes SaveFile: each save deletes the generations it
+	// did not write, so an overlapping one could delete the generation
+	// the other just published.
+	saveMu sync.Mutex
 }
 
 // ErrInvalidWait rejects observations whose wait is NaN, infinite, or
@@ -451,21 +456,6 @@ func (s *Service) sharedEmptyProfile() *[]Bound {
 	p := fc.Profile()
 	s.emptyProfile.CompareAndSwap(nil, &p)
 	return s.emptyProfile.Load()
-}
-
-// adoptStream wraps a restored forecaster (state.go's restore path).
-// lastSeq is the WAL sequence number the snapshot covers for this stream.
-// The restored state's forecast snapshot is installed here, before
-// replaceStreams publishes the stream — a reader that resolves the new
-// stream can never see a stale or missing snapshot. The profile is
-// computed on demand (first Profile call), not here: restoring a million
-// streams must not pay for a million profiles nobody asked for.
-func (s *Service) adoptStream(key string, fc *Forecaster, lastSeq uint64) *stream {
-	fc.Forecast() // settle the lazy refit before concurrent reads start
-	st := &stream{key: key, fc: fc, hit: obs.NewRollingRate(hitRateWindow), trimsSeen: fc.ChangePoints(), lastSeq: lastSeq}
-	st.lastTouch.Store(s.clock.Load())
-	st.publishLocked()
-	return st
 }
 
 // publishLocked derives a fresh immutable forecastSnapshot from the
@@ -1103,8 +1093,8 @@ func (s *Service) replaceStreams(streams map[string]*stream) {
 // by stream, and folded in one lock acquisition and one settle per group —
 // within a stream the log's order is preserved exactly, and streams are
 // independent, so recovered state matches record-at-a-time replay. A
-// cold-adopted stream (sharded restore) rehydrates before its first group
-// applies.
+// cold-adopted stream (from a restore or a catch-up install) rehydrates
+// before its first group applies.
 func (s *Service) RecoverWAL(w *wal.WAL) (wal.ReplayStats, error) {
 	const replayFlushEvery = 1024
 	type pendingGroup struct {

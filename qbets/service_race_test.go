@@ -104,8 +104,8 @@ func TestServiceConcurrentSaveLoad(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		svc.Observe("normal", 2, math.Exp(rng.NormFloat64())*30)
 	}
-	blob, err := svc.MarshalBinary()
-	if err != nil {
+	dir := t.TempDir()
+	if err := svc.SaveFile(dir); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -116,7 +116,12 @@ func TestServiceConcurrentSaveLoad(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				svc.Observe("normal", 2, float64(i))
 				svc.Forecast("normal", 2)
-				if _, err := svc.MarshalBinary(); err != nil {
+				// Capture and render a snapshot, as a save does.
+				ss, err := svc.captureSnapshot()
+				if err == nil {
+					_, err = ss.AppendChunk(0, nil)
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -129,7 +134,7 @@ func TestServiceConcurrentSaveLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := svc.UnmarshalBinary(blob); err != nil {
+			if err := svc.LoadFile(dir); err != nil {
 				t.Error(err)
 				return
 			}
@@ -150,7 +155,7 @@ func TestServiceConcurrentSaveLoad(t *testing.T) {
 // goroutine owns its queue so every stream's observation order is
 // deterministic and the oracle is exact (history length alone would not
 // be: change-point trims shrink it). Run under -race this also exercises
-// the Rotate/Append and MarshalBinary/observe lock interplay.
+// the Rotate/Append and snapshot-render/observe lock interplay.
 func TestServiceConcurrentSaveCompactWAL(t *testing.T) {
 	dir := t.TempDir()
 	statePath := filepath.Join(dir, "state.bin")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -99,7 +100,10 @@ func TestServiceSaveLoad(t *testing.T) {
 		t.Error("restored stream not live")
 	}
 	// Garbage rejected.
-	if err := g.UnmarshalBinary([]byte("}{")); err == nil {
+	if err := os.WriteFile(filepath.Join(path, currentFile), []byte("}{\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.LoadFile(path); err == nil {
 		t.Error("garbage accepted")
 	}
 	if _, err := LoadServiceFile(filepath.Join(t.TempDir(), "nope"), true); err == nil {

@@ -1,7 +1,6 @@
 package qbets
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -13,32 +12,38 @@ import (
 	"repro/internal/parallel"
 )
 
-// Sharded service persistence: the single-blob format (state.go) JSON-
-// encodes every stream into one document, which at the million-stream
-// scale means one giant allocation, one giant write, and a restore that
-// unmarshals a million forecasters before serving byte one. The sharded
-// format spreads the registry over N shard files written and read in
-// parallel, and — the real scale win — restores every stream *cold*: the
-// per-stream summary core published in the shard file becomes the
-// stream's forecast snapshot directly, the serialized forecaster blob is
-// kept as the cold blob, and no BMBP state is unmarshaled until a
-// stream's first write rehydrates it (evict.go). Loading 1M streams costs
-// 1M small struct builds, not 1M history decodes.
+// Service persistence. A saved state is the same snapshot a follower
+// catch-up streams (replicastream.go): a header plus ordered chunks, each
+// chunk a JSON object of per-stream cores. On disk the header is the
+// manifest and chunk i is shard file i, byte for byte. A restore installs
+// the chunks through the follower's pending install, so it carries the
+// same completeness guards, and adopts every stream *cold*: the summary
+// core becomes the stream's forecast snapshot directly, the serialized
+// forecaster stays the cold blob, and no BMBP state is decoded until a
+// stream's first write rehydrates it (evict.go). Restoring 1M streams
+// costs 1M small struct builds, not 1M history decodes.
 //
-// On-disk layout (dir is a directory, not a file):
+// On-disk layout (path is a directory):
 //
-//	dir/CURRENT            — name of the live generation directory
-//	dir/gen-<unixnano>/
-//	    manifest.json      — service-level header + shard count
-//	    shard-0000.json …  — the streams whose key hashes into the shard
+//	path/CURRENT           — name of the live generation directory
+//	path/gen-<unixnano>/
+//	    manifest.json      — the snapshot header
+//	    shard-0000.json …  — chunk 0, 1, …
 //
 // A save writes a complete new generation, fsyncs it, then atomically
 // republishes CURRENT — the same crash story as writeFileAtomic, one
 // level up. Old generations are deleted best-effort after the swap;
-// QuarantineStateFile renames the whole directory, so corrupt-state
-// handling carries over unchanged.
+// QuarantineStateFile renames the whole directory.
+//
+// Directories written by earlier builds, whose shard files partition the
+// streams by key hash rather than in key order, load unchanged: a chunk
+// may hold any set of streams. A single state file from before the
+// directory format is refused (opening path/CURRENT fails with ENOTDIR,
+// which is neither corruption nor absence) and left as it is.
 
-// shardManifest is the service-level header of one saved generation.
+// shardManifest is the snapshot header, the manifest on disk and the
+// snapBegin payload on the wire: the service-level settings plus the
+// chunk (shard) and stream counts a complete install must deliver.
 type shardManifest struct {
 	ByProcs  bool  `json:"by_procs"`
 	NextSeed int64 `json:"next_seed"`
@@ -46,8 +51,8 @@ type shardManifest struct {
 	Streams  int   `json:"streams"`
 }
 
-// shardStream is one stream in a shard file: the serialized forecaster
-// plus the summary core a cold adoption needs to publish an exact forecast
+// shardStream is one stream in a chunk: the serialized forecaster plus
+// the summary core a cold adoption needs to publish an exact forecast
 // snapshot without decoding State.
 type shardStream struct {
 	State           []byte  `json:"state"`
@@ -60,7 +65,10 @@ type shardStream struct {
 	LastTrimUnix    int64   `json:"last_trim_unix,omitempty"`
 }
 
-const currentFile = "CURRENT"
+const (
+	currentFile  = "CURRENT"
+	manifestFile = "manifest.json"
+)
 
 // coreLocked captures a stream's summary core. Caller holds at least the
 // stream's read lock. For a hydrated stream the forecaster is settled (the
@@ -96,91 +104,7 @@ func (st *stream) coreLocked() (blob []byte, core shardStream, err error) {
 	return blob, core, nil
 }
 
-// SaveShards writes the service's state as a sharded generation under dir,
-// creating dir if needed. Like SaveFile, a successful save compacts the
-// attached WAL. Safe to call while serving: streams are read-locked one at
-// a time.
-func (s *Service) SaveShards(dir string, shards int) error {
-	if shards < 1 {
-		shards = 1
-	}
-	cut, rotated := s.preSaveRotate()
-	streams := s.snapshotStreams()
-
-	// Partition by key hash, then render shards in parallel — each worker
-	// owns its shard's map wholesale, so no cross-worker coordination.
-	parts := make([]map[string]*stream, shards)
-	for i := range parts {
-		parts[i] = make(map[string]*stream, len(streams)/shards+1)
-	}
-	for k, st := range streams {
-		parts[keyHash(k)%uint32(shards)][k] = st
-	}
-
-	gen := fmt.Sprintf("gen-%d", time.Now().UnixNano())
-	genDir := filepath.Join(dir, gen)
-	if err := os.MkdirAll(genDir, 0o755); err != nil {
-		return err
-	}
-	errs := make([]error, shards)
-	parallel.ForEachIndex(shards, func(i int) {
-		out := make(map[string]shardStream, len(parts[i]))
-		for k, st := range parts[i] {
-			core, err := coreOf(k, st)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[k] = core
-		}
-		doc, err := json.Marshal(out)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		errs[i] = writeFileAtomic(filepath.Join(genDir, shardFileName(i)), doc)
-	})
-	if err := errors.Join(errs...); err != nil {
-		os.RemoveAll(genDir)
-		return err
-	}
-	man, err := json.Marshal(shardManifest{
-		ByProcs:  s.byProcs.Load(),
-		NextSeed: s.nextSeed.Load(),
-		Shards:   shards,
-		Streams:  len(streams),
-	})
-	if err != nil {
-		os.RemoveAll(genDir)
-		return err
-	}
-	if err := writeFileAtomic(filepath.Join(genDir, "manifest.json"), man); err != nil {
-		os.RemoveAll(genDir)
-		return err
-	}
-	// Publish: CURRENT names the new generation. writeFileAtomic fsyncs
-	// the file and dir, so after this returns a crash recovers the new
-	// generation, before it the old one — never a torn mix.
-	if err := writeFileAtomic(filepath.Join(dir, currentFile), []byte(gen+"\n")); err != nil {
-		os.RemoveAll(genDir)
-		return err
-	}
-	// Old generations are garbage now; deleting them is best-effort.
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			if e.IsDir() && strings.HasPrefix(e.Name(), "gen-") && e.Name() != gen {
-				os.RemoveAll(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
-	s.postSaveCompact(cut, rotated)
-	return nil
-}
-
-func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.json", i) }
-
-// coreOf renders one stream's saved core under its read lock — the unit
-// both the sharded saver and the replication snapshot serialize.
+// coreOf renders one stream's saved core under its read lock.
 func coreOf(k string, st *stream) (shardStream, error) {
 	st.mu.RLock()
 	blob, core, err := st.coreLocked()
@@ -219,24 +143,82 @@ func (s *Service) adoptColdStream(key string, core shardStream) *stream {
 	return st
 }
 
-// LoadServiceShards restores a Service from a sharded state directory
-// written by SaveShards. Every stream is adopted cold; splitByProcs and
-// opts apply to streams created after the restore, as with
-// LoadServiceFile.
-func LoadServiceShards(dir string, splitByProcs bool, opts ...Option) (*Service, error) {
-	s := NewService(splitByProcs, opts...)
-	if err := s.LoadShards(dir); err != nil {
-		return nil, err
+func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.json", i) }
+
+// SaveFile writes the service's state as a new generation under the
+// directory path, creating it if needed. Chunks render and write in
+// parallel. Safe to call while serving: streams are read-locked one at a
+// time. Overlapping saves run one after the other.
+//
+// When a write-ahead log is attached, a successful save also compacts it:
+// the log is rotated before the snapshot is taken, and once the snapshot
+// is durably on disk the segments it fully covers are deleted. The
+// ordering makes the window crash-safe in both directions — a crash
+// before the snapshot lands leaves every segment in place (recovery
+// replays a little extra, skipped via the per-stream sequence numbers),
+// and segments are only deleted after the snapshot that supersedes them
+// is readable. Compaction failures are counted but do not fail the save:
+// the snapshot is good, the log is merely longer than necessary.
+func (s *Service) SaveFile(path string) error {
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
+	cut, rotated := s.preSaveRotate()
+	snap, err := s.captureSnapshot()
+	if err != nil {
+		return err
 	}
-	return s, nil
+	gen := fmt.Sprintf("gen-%d", time.Now().UnixNano())
+	genDir := filepath.Join(path, gen)
+	if err := os.MkdirAll(genDir, 0o755); err != nil {
+		return err
+	}
+	// The generation's files need no rename of their own: nothing reads
+	// them until CURRENT names the generation.
+	errs := make([]error, snap.chunks)
+	parallel.ForEachIndex(snap.chunks, func(i int) {
+		doc, err := snap.AppendChunk(i, nil)
+		if err == nil {
+			err = writeFileSynced(filepath.Join(genDir, shardFileName(i)), doc)
+		}
+		errs[i] = err
+	})
+	err = errors.Join(errs...)
+	if err == nil {
+		err = writeFileSynced(filepath.Join(genDir, manifestFile), snap.header)
+	}
+	if err == nil {
+		err = syncDir(genDir)
+	}
+	// Publish: CURRENT names the new generation. writeFileAtomic fsyncs
+	// the file and dir, so after this returns a crash recovers the new
+	// generation, before it the old one — never a torn mix.
+	if err == nil {
+		err = writeFileAtomic(filepath.Join(path, currentFile), []byte(gen+"\n"))
+	}
+	if err != nil {
+		os.RemoveAll(genDir)
+		return err
+	}
+	// Old generations are garbage now; deleting them is best-effort.
+	if ents, err := os.ReadDir(path); err == nil {
+		for _, e := range ents {
+			if e.IsDir() && strings.HasPrefix(e.Name(), "gen-") && e.Name() != gen {
+				os.RemoveAll(filepath.Join(path, e.Name()))
+			}
+		}
+	}
+	s.postSaveCompact(cut, rotated)
+	return nil
 }
 
-// LoadShards restores sharded state into the receiver, replacing the
-// current stream set wholesale (the directory-format analogue of
-// UnmarshalBinary). Safe while serving: readers mid-flight finish against
-// the old stream set.
-func (s *Service) LoadShards(dir string) error {
-	cur, err := os.ReadFile(filepath.Join(dir, currentFile))
+// LoadFile restores state saved by SaveFile into the receiver, replacing
+// the current stream set wholesale. A missing directory surfaces as
+// os.IsNotExist; a damaged generation as ErrCorruptState. Shard files
+// decode in parallel; adoption into the pending install runs in chunk
+// order. Safe while serving: readers mid-flight finish against the old
+// stream set, and a failed load changes nothing.
+func (s *Service) LoadFile(path string) error {
+	cur, err := os.ReadFile(filepath.Join(path, currentFile))
 	if err != nil {
 		return err
 	}
@@ -244,63 +226,58 @@ func (s *Service) LoadShards(dir string) error {
 	if gen == "" || strings.Contains(gen, "/") {
 		return fmt.Errorf("qbets: %w: bad CURRENT %q", ErrCorruptState, gen)
 	}
-	genDir := filepath.Join(dir, gen)
-	manDoc, err := os.ReadFile(filepath.Join(genDir, "manifest.json"))
+	genDir := filepath.Join(path, gen)
+	header, err := os.ReadFile(filepath.Join(genDir, manifestFile))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("qbets: %w: %v", ErrCorruptState, err)
-		}
+		return generationErr(err)
+	}
+	p, err := beginInstall(header)
+	if err != nil {
 		return err
 	}
-	var man shardManifest
-	if err := json.Unmarshal(manDoc, &man); err != nil {
-		return fmt.Errorf("qbets: %w: manifest: %v", ErrCorruptState, err)
+	// The last shard must exist before the declared count sizes anything:
+	// a damaged manifest must not be able to demand a huge allocation.
+	if _, err := os.Stat(filepath.Join(genDir, shardFileName(p.header.Shards-1))); err != nil {
+		return generationErr(err)
 	}
-	if man.Shards < 1 {
-		return fmt.Errorf("qbets: %w: manifest shards=%d", ErrCorruptState, man.Shards)
-	}
-	shardMaps := make([]map[string]shardStream, man.Shards)
-	errs := make([]error, man.Shards)
-	parallel.ForEachIndex(man.Shards, func(i int) {
+	chunks := make([]map[string]shardStream, p.header.Shards)
+	errs := make([]error, len(chunks))
+	parallel.ForEachIndex(len(chunks), func(i int) {
 		doc, err := os.ReadFile(filepath.Join(genDir, shardFileName(i)))
 		if err != nil {
-			if os.IsNotExist(err) {
-				errs[i] = fmt.Errorf("qbets: %w: %v", ErrCorruptState, err)
-			} else {
-				errs[i] = err
-			}
+			errs[i] = generationErr(err)
 			return
 		}
-		var m map[string]shardStream
-		if err := json.Unmarshal(doc, &m); err != nil {
-			errs[i] = fmt.Errorf("qbets: %w: %s: %v", ErrCorruptState, shardFileName(i), err)
-			return
-		}
-		shardMaps[i] = m
+		chunks[i], errs[i] = decodeChunk(i, doc)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	restored := make(map[string]*stream, man.Streams)
-	for _, m := range shardMaps {
-		for k, core := range m {
-			restored[k] = s.adoptColdStream(k, core)
+	for i, m := range chunks {
+		if err := p.apply(s, i, m); err != nil {
+			return err
 		}
 	}
-	s.byProcs.Store(man.ByProcs)
-	s.nextSeed.Store(man.NextSeed)
-	s.replaceStreams(restored)
-	return nil
+	return p.commit(s)
 }
 
-// IsShardedStateDir reports whether path looks like a sharded state
-// directory (has a CURRENT file) — the loader-selection hook for callers
-// that accept either format.
-func IsShardedStateDir(path string) bool {
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		return false
+// generationErr classifies a failure to read a file of the generation
+// CURRENT names. The generation was complete when CURRENT was published,
+// so a missing file is damage, not absence.
+func generationErr(err error) error {
+	if os.IsNotExist(err) {
+		return fmt.Errorf("qbets: %w: %v", ErrCorruptState, err)
 	}
-	_, err = os.Stat(filepath.Join(path, currentFile))
-	return err == nil
+	return err
+}
+
+// LoadServiceFile restores a Service from a state directory written by
+// SaveFile. Every stream is adopted cold; splitByProcs and opts apply to
+// streams created after the restore.
+func LoadServiceFile(path string, splitByProcs bool, opts ...Option) (*Service, error) {
+	s := NewService(splitByProcs, opts...)
+	if err := s.LoadFile(path); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
